@@ -29,7 +29,7 @@ CSV_COLUMNS = [
 
 
 # ---------------------------------------------------------------------------
-# Normal CDF / Kolmogorov-Smirnov distance (no statistics dependency)
+# Normal CDF / Kolmogorov-Smirnov distance
 # ---------------------------------------------------------------------------
 
 def normal_cdf(x: float) -> float:
@@ -38,11 +38,15 @@ def normal_cdf(x: float) -> float:
 
 def ks_distance(sample) -> float:
     """One-sample KS distance of a sample against the standard normal."""
+    # Imported here: loading scipy.special costs ~4 MB of resident memory,
+    # which every experiment run would otherwise pay.
+    from scipy.special import ndtr
+
     xs = np.sort(np.asarray(sample, dtype=float))
     n = xs.shape[0]
     if n == 0:
         raise InvalidInput("empty sample")
-    cdf = np.array([normal_cdf(v) for v in xs])
+    cdf = ndtr(xs)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
@@ -137,13 +141,16 @@ def generate_instance(model: str, seed: int, **params) -> GeneratedInstance:
         return datagen.gen_model2(seed)
     if model == datagen.HIGHDIM:
         return datagen.gen_highdim(seed)
-    if model == datagen.CONSISTENCY:
-        return datagen.gen_consistency(seed, n=params["n"])
-    if model == datagen.ORTHOGONAL:
-        return datagen.gen_orthogonal(
-            seed, n=params["n"], p=params["p"],
-            beta_true=params["beta_true"], sigma_star=params["sigma_star"],
-        )
+    try:
+        if model == datagen.CONSISTENCY:
+            return datagen.gen_consistency(seed, n=params["n"])
+        if model == datagen.ORTHOGONAL:
+            return datagen.gen_orthogonal(
+                seed, n=params["n"], p=params["p"],
+                beta_true=params["beta_true"], sigma_star=params["sigma_star"],
+            )
+    except KeyError as exc:
+        raise InvalidInput(f"model {model!r} needs {exc.args[0]}") from None
     raise InvalidInput(f"unknown model {model!r}")
 
 
@@ -163,7 +170,7 @@ def _run_replicate(spec: ExperimentSpec, replicate: int):
             coef = estimator.coefficients(instance, replicate)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             report = acc(coef, instance.beta_true)
-        except GagaError as exc:
+        except (GagaError, np.linalg.LinAlgError) as exc:
             row["status"] = type(exc).__name__
         else:
             row.update(
@@ -220,6 +227,8 @@ def _fmt(v):
 def run_experiment(spec: ExperimentSpec, workers: int = 1):
     """Run every (replicate, estimator) cell, append per-estimator summary
     rows, and write the CSV when an output path is set. Returns the rows."""
+    if workers < 1:
+        raise InvalidInput(f"workers must be >= 1, got {workers}")
     reps = range(spec.replicates)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

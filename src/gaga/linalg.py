@@ -3,6 +3,8 @@ returns the diagonal of the inverse.
 
 The inverse diagonal comes from the triangular Cholesky factor
 (diag(A^-1)_j = sum_k (L^-1)_{kj}^2), never from forming the full inverse.
+A diagonal system can be passed as the length-p vector of its diagonal; it
+takes the closed form and never factorizes.
 """
 
 import numpy as np
@@ -26,9 +28,7 @@ def build_gram(problem: RegressionProblem) -> GramSystem:
 
 def is_diagonal(mat) -> bool:
     """True iff every off-diagonal entry is exactly zero."""
-    off = mat.copy()
-    np.fill_diagonal(off, 0.0)
-    return not np.any(off)
+    return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
 
 
 def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, rank_tolerance=None):
@@ -36,9 +36,19 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, rank_tolerance=None
 
     One Cholesky factorization serves both outputs. Exactly diagonal systems
     skip factorization entirely (closed form), which keeps orthogonal-design
-    trajectories bit-equal to the scalar recursion.
+    trajectories bit-equal to the scalar recursion. ``gram`` may also be the
+    length-p vector of a diagonal system's diagonal.
     """
     gram = np.asarray(gram, dtype=float)
+    if gram.ndim == 2 and is_diagonal(gram):
+        gram = np.diagonal(gram)
+    return _solve(gram, penalty_diag, rhs, rank_tolerance)
+
+
+def _solve(gram, penalty_diag, rhs, rank_tolerance=None, inverse=True):
+    """``spd_solve_with_inverse_diagonal`` once the diagonal decision is made:
+    a vector gram is a diagonal system, a matrix is factorized. Without
+    ``inverse`` the second output is None and L^-1 is never formed."""
     penalty_diag = np.asarray(penalty_diag, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     p = gram.shape[0]
@@ -47,11 +57,12 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, rank_tolerance=None
     if np.any(penalty_diag < 0):
         raise InvalidInput("penalty_diag must be nonnegative")
 
-    diag = np.diagonal(gram) + penalty_diag
+    gram_diag = gram if gram.ndim == 1 else np.diagonal(gram)
     if rank_tolerance is None:
-        rank_tolerance = default_rank_tolerance(np.abs(np.diagonal(gram)) + 1e-300)
+        rank_tolerance = default_rank_tolerance(np.abs(gram_diag) + 1e-300)
 
-    if is_diagonal(gram):
+    if gram.ndim == 1:
+        diag = gram + penalty_diag
         bad = np.flatnonzero(diag <= rank_tolerance)
         if bad.size:
             raise SingularSystem(pivot=int(bad[0]))
@@ -71,6 +82,8 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, rank_tolerance=None
     sol, info = lapack.dpotrs(c, rhs[:, None], lower=1)
     if info != 0:
         raise SingularSystem(pivot=p - 1, message="triangular solve failed")
+    if not inverse:
+        return sol[:, 0], None
     linv, info = lapack.dtrtri(c, lower=1)
     if info != 0:
         raise SingularSystem(pivot=int(info) - 1, message="triangular inversion failed")

@@ -2,9 +2,13 @@
 into an orthogonal basis, run the solver there (diagonal systems only), and
 back-substitute through the triangular factor.
 
-The fit path keeps the orthogonal factor in raw Householder form and applies
-it to the response directly; only Q'y and R are ever needed. ``plan_qr``
-materializes Q for callers that want the factors themselves.
+The fit path never forms Q. It takes R as the upper Cholesky factor of the
+permuted gram P'X'XP and Q'y as R^-T P'X'y (CholeskyQR), so after the gram is
+built the design is not touched again. The price is the accuracy of the
+normal equations, as in ``gaga_fit``: R and Q'y are good to about
+cond(X)^2 * eps, where a Householder QR of X gets cond(X) * eps. ``plan_qr``
+computes a Householder QR of the permuted design for callers that want the
+factors themselves.
 """
 
 from dataclasses import dataclass
@@ -13,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .errors import InvalidInput, RankDeficient, SingularSystem
-from .linalg import build_gram, default_rank_tolerance, spd_solve_with_inverse_diagonal
+from .linalg import _solve, build_gram, default_rank_tolerance
 from .solver import fit_gram
 from .types import GagaConfig, GramSystem, RegressionProblem, SignalEstimate
 
@@ -33,9 +37,8 @@ def _ols_permutation(problem: RegressionProblem, rank_tolerance):
         raise InvalidInput("need p <= n for the QR variant")
     gs = build_gram(problem)
     try:
-        ols, _ = spd_solve_with_inverse_diagonal(
-            gs.gram, np.zeros(problem.p), gs.cross, rank_tolerance=rank_tolerance
-        )
+        ols, _ = _solve(gs.kernel_gram, np.zeros(problem.p), gs.cross, rank_tolerance,
+                        inverse=False)
     except SingularSystem as exc:
         raise RankDeficient(pivot=exc.pivot) from exc
     # Stable sort keeps original order on |ols| ties.
@@ -63,43 +66,42 @@ def plan_qr(problem: RegressionProblem, rank_tolerance: float = None) -> QrPlan:
     return QrPlan(permutation=perm, q_factor=q, r_factor=r, ols=ols)
 
 
-def _householder_qty_r(x_new, y):
-    """R and Q'y from the raw Householder factorization, R diagonal made
-    nonnegative (matching plan_qr's sign convention)."""
-    p = x_new.shape[1]
-    raw, tau, work, info = lapack.dgeqrf(x_new, lwork=-1)
-    raw, tau, work, info = lapack.dgeqrf(x_new, lwork=int(work[0]))
+def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
+    """R and Q'y of the column-permuted design from its gram alone: R is the
+    upper Cholesky factor of P'X'XP and Q'y = R^-T P'X'y."""
+    # P'GP is symmetric, so its transpose is the same matrix in the Fortran
+    # order LAPACK factorizes in place, without another p×p copy.
+    permuted = gram_system.gram[np.ix_(perm, perm)].T
+    r, info = lapack.dpotrf(permuted, lower=0, clean=1, overwrite_a=1)
+    if info > 0:
+        raise RankDeficient(pivot=int(info) - 1)
+    if info < 0:
+        raise InvalidInput(f"illegal argument {-info} to dpotrf")
+    _check_rank(np.diagonal(r), rank_tolerance)
+    qty, info = lapack.dtrtrs(r, gram_system.cross[perm], lower=0, trans=1)
     if info != 0:
-        raise InvalidInput(f"QR factorization failed (info={info})")
-    qty, work, info = lapack.dormqr("L", "T", raw, tau, y[:, None], lwork=-1)
-    qty, work, info = lapack.dormqr("L", "T", raw, tau, y[:, None], lwork=int(work[0]))
-    if info != 0:
-        raise InvalidInput(f"applying Q' failed (info={info})")
-    r = np.triu(raw[:p])
-    qty = qty[:p, 0]
-    signs = np.where(np.diagonal(r) < 0, -1.0, 1.0)
-    return signs[:, None] * r, signs * qty
+        raise InvalidInput(f"triangular solve for Q'y failed (info={info})")
+    return r, qty
 
 
 def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = None) -> SignalEstimate:
     """Fit in the rotated basis and map the estimate back.
 
-    The rotated gram is the identity to machine accuracy, so the inner solver
-    runs on an exact identity gram and never factorizes. Support is whatever
-    survives the triangular back-substitution: zeros come only from the inner
-    truncation, with sub-roundoff leakage snapped back to zero.
+    The rotated gram is the identity, so the inner solver runs on an exact
+    identity gram: it never factorizes, and each iteration is O(p) work.
+    Support is whatever survives the triangular back-substitution: zeros come
+    only from the inner truncation, with sub-roundoff leakage snapped back to
+    zero.
     """
     if config is None:
         config = GagaConfig()
-    _, _, perm, rank_tolerance = _ols_permutation(problem, config.rank_tolerance)
+    gs, _, perm, rank_tolerance = _ols_permutation(problem, config.rank_tolerance)
     p = problem.p
-    y = problem.response
-    r_factor, qty = _householder_qty_r(problem.design[:, perm], y)
-    _check_rank(np.diagonal(r_factor), rank_tolerance)
+    r_factor, qty = _cholesky_qr(gs, perm, rank_tolerance)
     inner = GramSystem(
         gram=np.eye(p),
         cross=qty,
-        response_sq_norm=float(y @ y),
+        response_sq_norm=gs.response_sq_norm,
     )
     theta = fit_gram(inner, problem.n, config)
     beta_new = solve_triangular(r_factor, theta.coefficients, lower=False)

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 
 from .errors import SingularGram, SingularSystem
-from .linalg import build_gram, inverse_diagonal, spd_solve_with_inverse_diagonal
+from .linalg import _solve, build_gram
 from .types import (
     ESTIMATED,
     FIXED,
@@ -58,13 +58,14 @@ def estimate_variance_em(state: SolverState, gram_system: GramSystem, n: int) ->
     (y'y - 2 b'X'y + b'X'Xb + var * tr(D X'X)) / n, with
     tr(D X'X) = p - sum_j D_jj * penalty_j since D = (X'X + B)^-1.
     """
-    g, c = gram_system.gram, gram_system.cross
+    g, c = gram_system.kernel_gram, gram_system.cross
     beta = state.beta
+    g_beta = g * beta if g.ndim == 1 else g @ beta
     trace_term = gram_system.p - float(state.inv_diag @ state.tuning)
     rss = (
         gram_system.response_sq_norm
         - 2.0 * float(beta @ c)
-        + float(beta @ (g @ beta))
+        + float(beta @ g_beta)
         + state.variance * trace_term
     )
     return rss / n
@@ -81,9 +82,8 @@ def gaga_step(
     then refresh penalties and (optionally) the noise variance."""
     if tuning_clamp is None:
         tuning_clamp = resolve_tuning_clamp(config, gram_system)
-    beta, inv_diag = spd_solve_with_inverse_diagonal(
-        gram_system.gram, state.tuning, gram_system.cross,
-        rank_tolerance=config.rank_tolerance,
+    beta, inv_diag = _solve(
+        gram_system.kernel_gram, state.tuning, gram_system.cross, config.rank_tolerance
     )
     new_tuning = np.minimum(
         tuning_clamp, config.alpha / (beta * beta / state.variance + inv_diag)
@@ -116,23 +116,25 @@ def gaga_step(
 
 def hard_truncate(
     beta_star, tuning_star, gram_system: GramSystem, variance: float,
-    rank_tolerance=None,
+    rank_tolerance=None, penalized_inv_diag=None,
 ) -> SignalEstimate:
     """Zero every coefficient whose square falls below the variance gap
-    var * ((X'X)^-1_jj - (X'X + B*)^-1_jj)."""
+    var * ((X'X)^-1_jj - (X'X + B*)^-1_jj).
+
+    ``penalized_inv_diag`` is (X'X + B*)^-1_jj when the caller already has it
+    from the solve that produced ``beta_star``; otherwise it is computed."""
     beta_star = np.asarray(beta_star, dtype=float)
     tuning_star = np.asarray(tuning_star, dtype=float)
+    gram, zeros = gram_system.kernel_gram, np.zeros(gram_system.p)
     try:
-        unpenalized = inverse_diagonal(
-            gram_system.gram, np.zeros(gram_system.p), rank_tolerance=rank_tolerance
-        )
+        _, unpenalized = _solve(gram, zeros, zeros, rank_tolerance)
     except SingularSystem as exc:
         raise SingularGram(
             f"X'X singular at pivot {exc.pivot}; truncation needs its inverse diagonal"
         ) from exc
-    penalized = inverse_diagonal(
-        gram_system.gram, tuning_star, rank_tolerance=rank_tolerance
-    )
+    penalized = penalized_inv_diag
+    if penalized is None:
+        _, penalized = _solve(gram, tuning_star, zeros, rank_tolerance)
     threshold = variance * (unpenalized - penalized)
     keep = beta_star * beta_star >= threshold
     coef = np.where(keep, beta_star, 0.0)
@@ -145,7 +147,11 @@ def hard_truncate(
 
 
 def fit_gram(gram_system: GramSystem, n_obs: int, config: GagaConfig) -> SignalEstimate:
-    """Run the solver given precomputed normal-equation pieces."""
+    """Run the solver given precomputed normal-equation pieces.
+
+    Whether the gram is diagonal is decided once, on the first solve (see
+    ``GramSystem.kernel_gram``); a diagonal gram makes every solve of the fit
+    O(p) work."""
     clamp = resolve_tuning_clamp(config, gram_system)
     state = initial_state(gram_system.p)
     trace = [] if config.record_trace else None
@@ -162,14 +168,13 @@ def fit_gram(gram_system: GramSystem, n_obs: int, config: GagaConfig) -> SignalE
                 )
             )
     b_star = state.tuning / config.alpha
-    beta_star, _ = spd_solve_with_inverse_diagonal(
-        gram_system.gram, b_star, gram_system.cross,
-        rank_tolerance=config.rank_tolerance,
+    beta_star, inv_diag_star = _solve(
+        gram_system.kernel_gram, b_star, gram_system.cross, config.rank_tolerance
     )
     final_var = state.variance if config.variance_mode == ESTIMATED else 1.0
     estimate = hard_truncate(
         beta_star, b_star, gram_system, final_var,
-        rank_tolerance=config.rank_tolerance,
+        rank_tolerance=config.rank_tolerance, penalized_inv_diag=inv_diag_star,
     )
     if trace is not None:
         estimate = dataclasses.replace(estimate, trace=tuple(trace))

@@ -1,6 +1,7 @@
 """Shared domain types: problems, solver configuration, estimates."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -133,6 +134,16 @@ class GramSystem:
     @property
     def p(self) -> int:
         return self.gram.shape[0]
+
+    @cached_property
+    def kernel_gram(self) -> np.ndarray:
+        """The gram in the form every solve on this system passes to the
+        kernel: the vector of its diagonal when the gram is exactly diagonal,
+        else the matrix itself. Decided on first use, so one diagonality
+        check serves all the solves of a fit."""
+        from . import linalg  # linalg imports this module
+
+        return np.diagonal(self.gram) if linalg.is_diagonal(self.gram) else self.gram
 
 
 @dataclass(frozen=True)

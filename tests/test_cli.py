@@ -109,6 +109,48 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg)]) == 1
         assert "error kind=InvalidInput" in capsys.readouterr().err
 
+    @staticmethod
+    def _single_error_line(capsys):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error kind=InvalidInput detail=")
+        return err
+
+    def test_consistency_without_n_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"model = consistency\nreplicates = 1\nout = {tmp_path / 'o.csv'}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "needs n" in self._single_error_line(capsys)
+
+    def test_orthogonal_model_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"model = orthogonal\nreplicates = 1\nout = {tmp_path / 'o.csv'}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "'orthogonal' needs" in self._single_error_line(capsys)
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_fail(self, tmp_path, capsys, workers):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"model = model1\nreplicates = 1\nout = {tmp_path / 'o.csv'}\n")
+        assert main(["experiment", "--config", str(cfg), "--workers", workers]) == 1
+        assert "workers must be >= 1" in self._single_error_line(capsys)
+
+    def test_linalg_error_recorded_as_row_status(self, tmp_path, monkeypatch):
+        import gaga.harness
+
+        def broken_fit(problem, config):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gaga.harness, "gaga_fit", broken_fit)
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "exp.csv"
+        cfg.write_text(f"model = model1\nreplicates = 2\nestimators = gaga,gaga_qr\nout = {out}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 0
+        with open(out) as fh:
+            rows = [r for r in csv.DictReader(fh) if r["status"] != "summary"]
+        assert [r["status"] for r in rows if r["estimator"] == "gaga"] == ["LinAlgError"] * 2
+        assert [r["status"] for r in rows if r["estimator"] == "gaga_qr"] == ["ok"] * 2
+
 
 class TestSweep:
     def test_sweep_run(self, tmp_path):

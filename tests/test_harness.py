@@ -48,6 +48,12 @@ class TestKsDistance:
         with pytest.raises(InvalidInput):
             ks_distance([])
 
+    def test_matches_erf_loop(self):
+        xs = np.sort(np.random.default_rng(2).standard_normal(500) * 1.3)
+        cdf = [0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in xs]
+        loop = max(max((i + 1) / 500 - c, c - i / 500) for i, c in enumerate(cdf))
+        assert ks_distance(xs) == pytest.approx(loop, rel=0, abs=1e-15)
+
 
 class _OracleEstimator:
     """Returns the true coefficients; the harness should score ERR=0, ACC=1."""

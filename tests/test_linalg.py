@@ -59,6 +59,14 @@ class TestSpdSolve:
         assert np.array_equal(sol, rhs / (sigma + b))
         assert np.array_equal(d, 1.0 / (sigma + b))
 
+    def test_vector_gram_is_diagonal_system(self):
+        sigma = np.array([2.0, 5.0, 0.5])
+        b = np.array([1.0, 0.0, 3.0])
+        rhs = np.array([1.0, -2.0, 7.0])
+        sol, d = spd_solve_with_inverse_diagonal(sigma, b, rhs)
+        assert np.array_equal(sol, rhs / (sigma + b))
+        assert np.array_equal(d, 1.0 / (sigma + b))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_explicit_inverse(self, seed):
         rng = np.random.default_rng(seed)

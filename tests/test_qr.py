@@ -2,8 +2,19 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from gaga import GagaConfig, RankDeficient, RegressionProblem, gaga_fit, gaga_qr_fit, plan_qr
+import gaga.linalg
+from gaga import (
+    GagaConfig,
+    GramSystem,
+    RankDeficient,
+    RegressionProblem,
+    gaga_fit,
+    gaga_qr_fit,
+    plan_qr,
+)
+from gaga.datagen import correlated_gaussian_rows
 from gaga.metrics import acc
+from gaga.solver import fit_gram
 
 
 def orthonormal_problem():
@@ -119,3 +130,90 @@ class TestGagaQrFit:
             b = acc(gaga_qr_fit(inst.problem, GagaConfig()).coefficients, inst.beta_true).acc
             diffs.append(a - b)
         assert abs(float(np.mean(diffs))) <= 0.1
+
+
+def equicorrelated_problem(seed, n=200, p=20, rho=0.5, collinear=0.0):
+    """Equicorrelated design; with ``collinear`` set, column 1 is column 0
+    plus noise of that scale, which makes the design ill-conditioned."""
+    rng = np.random.default_rng(seed)
+    corr = np.full((p, p), rho)
+    np.fill_diagonal(corr, 1.0)
+    x = correlated_gaussian_rows(corr, n, rng)
+    if collinear:
+        x[:, 1] = x[:, 0] + collinear * rng.standard_normal(n)
+    beta = np.zeros(p)
+    beta[: p // 2] = rng.uniform(0.5, 5.0, p // 2)
+    return RegressionProblem(design=x, response=x @ beta + rng.standard_normal(n))
+
+
+def householder_reference(problem, config):
+    """The QR variant computed from plan_qr's explicit Householder factors:
+    the solver on an identity gram with cross Q'y, then back-substitution."""
+    plan = plan_qr(problem)
+    y = problem.response
+    inner = GramSystem(gram=np.eye(problem.p), cross=plan.q_factor.T @ y,
+                       response_sq_norm=float(y @ y))
+    theta = fit_gram(inner, problem.n, config)
+    beta_new = solve_triangular(plan.r_factor, theta.coefficients, lower=False)
+    beta_new[np.abs(beta_new) <= 1e-12 * np.max(np.abs(beta_new), initial=0.0)] = 0.0
+    coef = np.empty(problem.p)
+    coef[plan.permutation] = beta_new
+    return coef
+
+
+class TestCholeskyQr:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_householder_reference(self, seed):
+        pr = equicorrelated_problem(seed)
+        config = GagaConfig()
+        got = gaga_qr_fit(pr, config).coefficients
+        ref = householder_reference(pr, config)
+        assert np.array_equal(got != 0.0, ref != 0.0)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ill_conditioned_design_normal_equation_accuracy(self, seed):
+        # CholeskyQR works from X'X, so it matches Householder QR only to
+        # about kappa(X)^2 * eps, not kappa(X) * eps; here kappa(X) ~ 5e4.
+        pr = equicorrelated_problem(seed, collinear=1e-4)
+        kappa = np.linalg.cond(pr.design)
+        assert kappa > 1e4
+        config = GagaConfig()
+        got = gaga_qr_fit(pr, config).coefficients
+        ref = householder_reference(pr, config)
+        assert np.array_equal(got != 0.0, ref != 0.0)
+        gap = np.abs(got - ref).max() / np.abs(ref).max()
+        assert gap <= kappa**2 * np.finfo(float).eps
+
+    def test_duplicated_column_rank_deficient(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((30, 4))
+        x[:, 2] = x[:, 1]
+        with pytest.raises(RankDeficient):
+            gaga_qr_fit(RegressionProblem(design=x, response=rng.standard_normal(30)))
+
+
+class TestDiagonalDecidedOnce:
+    @pytest.fixture
+    def diag_checks(self, monkeypatch):
+        calls = []
+        real = gaga.linalg.is_diagonal
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return real(mat)
+
+        monkeypatch.setattr(gaga.linalg, "is_diagonal", counting)
+        return calls
+
+    def test_dense_fit(self, diag_checks):
+        est = gaga_fit(equicorrelated_problem(0), GagaConfig())
+        assert est.support.any()
+        assert len(diag_checks) <= 1
+
+    def test_diagonal_fit(self, diag_checks):
+        gs = GramSystem(gram=np.diag([2.0, 0.5, 3.0]), cross=np.array([4.0, 0.1, -3.0]),
+                        response_sq_norm=30.0)
+        est = fit_gram(gs, 50, GagaConfig(variance_mode="estimated"))
+        assert est.support.any()
+        assert len(diag_checks) <= 1

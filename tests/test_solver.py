@@ -16,6 +16,7 @@ from gaga import (
     gaga_fit,
     gaga_step,
     hard_truncate,
+    spd_solve_with_inverse_diagonal,
 )
 from gaga.solver import fit_gram, initial_state
 from gaga.types import SolverState
@@ -148,6 +149,17 @@ class TestHardTruncate:
         gs = orthonormal_gram(2, [0.0, 0.0], 0.0)
         est = hard_truncate(np.zeros(2), np.array([5.0, 5.0]), gs, 1.0)
         assert not est.support.any()
+
+    def test_passed_inverse_diagonal_matches_computed(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40, 5))
+        gs = build_gram(RegressionProblem(design=x, response=rng.standard_normal(40)))
+        b = rng.uniform(0.1, 5.0, 5)
+        beta, inv_diag = spd_solve_with_inverse_diagonal(gs.gram, b, gs.cross)
+        a = hard_truncate(beta, b, gs, 1.0)
+        c = hard_truncate(beta, b, gs, 1.0, penalized_inv_diag=inv_diag)
+        assert np.array_equal(a.coefficients, c.coefficients)
+        assert np.array_equal(a.support, c.support)
 
     def test_singular_gram(self):
         gs = GramSystem(gram=np.zeros((2, 2)), cross=np.zeros(2), response_sq_norm=0.0)
