@@ -6,18 +6,18 @@ sample size on the consistency model to show both metrics improving as
 n grows.
 """
 
-from gaga import GagaConfig
+from gaga import GagaConfig, gaga_qr_fit
 from gaga.datagen import CONSISTENCY, MODEL1
 from gaga.harness import (
     ExperimentSpec,
     GagaEstimator,
-    GagaQrEstimator,
     run_consistency_sweep,
     run_experiment,
 )
 
 config = GagaConfig(variance_mode="estimated")
-estimators = (GagaEstimator(config=config), GagaQrEstimator(config=config))
+estimators = (GagaEstimator(config=config),
+              GagaEstimator(config=config, name="gaga_qr", fit=gaga_qr_fit))
 
 spec = ExperimentSpec(model=MODEL1, replicates=30, estimators=estimators)
 rows = run_experiment(spec)

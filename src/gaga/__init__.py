@@ -28,7 +28,6 @@ from .metrics import EvaluationReport, acc, err
 from .qr import QrPlan, gaga_qr_fit, plan_qr
 from .solver import (
     estimate_variance_em,
-    estimate_variance_residual,
     gaga_fit,
     gaga_step,
     hard_truncate,
@@ -49,7 +48,7 @@ __all__ = [
     "RegressionProblem", "GagaConfig", "SignalEstimate", "GramSystem",
     "SolverState", "FIXED", "ESTIMATED",
     "gaga_fit", "gaga_step", "hard_truncate",
-    "estimate_variance_residual", "estimate_variance_em",
+    "estimate_variance_em",
     "gaga_qr_fit", "plan_qr", "QrPlan",
     "build_gram", "spd_solve_with_inverse_diagonal",
     "ScalarRegime", "map_value", "convergence_threshold",

@@ -15,21 +15,21 @@ import numpy as np
 
 from . import datagen, harness
 from .errors import GagaError, InvalidInput
-from .harness import ExperimentSpec, ExternalEstimates, GagaEstimator, GagaQrEstimator
+from .harness import ExperimentSpec, ExternalEstimates, GagaEstimator
 from .qr import gaga_qr_fit
 from .solver import gaga_fit
 from .types import GagaConfig, RegressionProblem
 
 
 def _load_matrix(path):
-    first = Path(path).open().readline()
+    lines = Path(path).read_text().splitlines()
     try:
-        [float(v) for v in first.strip().split(",")]
-    except ValueError:
-        has_header = True
-    else:
-        has_header = False
-    return np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
+        [float(v) for v in lines[0].strip().split(",")]
+    except (IndexError, ValueError):
+        lines = lines[1:]  # a header row, or no line at all
+    if not any(line.strip() for line in lines):
+        raise InvalidInput(f"{path} has no data rows")
+    return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
 def _parse_config_file(path):
@@ -60,7 +60,7 @@ def _estimators(names, config):
         if name == "gaga":
             out.append(GagaEstimator(config=config))
         elif name == "gaga_qr":
-            out.append(GagaQrEstimator(config=config))
+            out.append(GagaEstimator(config=config, name=name, fit=gaga_qr_fit))
         elif name.startswith("external:"):
             out.append(ExternalEstimates(name.split(":", 1)[1]))
         else:
@@ -105,6 +105,9 @@ def _experiment_spec(args, cfg, need_sizes=False):
     out = args.out or cfg.get("out")
     if not out:
         raise InvalidInput("no output path (set --out or out= in the config)")
+    record_timing = cfg.get("record_timing", "false").lower()
+    if record_timing not in ("1", "true", "yes", "0", "false", "no"):
+        raise InvalidInput(f"record_timing must be true or false, got {record_timing!r}")
     return ExperimentSpec(
         model=model,
         replicates=replicates,
@@ -113,19 +116,19 @@ def _experiment_spec(args, cfg, need_sizes=False):
         model_params=model_params,
         sample_sizes=sizes,
         output_path=out,
-        record_timing=cfg.get("record_timing", "false").lower() in ("1", "true", "yes"),
+        record_timing=record_timing in ("1", "true", "yes"),
     )
 
 
 def _cmd_experiment(args):
     spec = _experiment_spec(args, _parse_config_file(args.config))
-    harness.run_experiment(spec, workers=args.workers)
+    harness.run_experiment(spec)
     return 0
 
 
 def _cmd_sweep(args):
     spec = _experiment_spec(args, _parse_config_file(args.config), need_sizes=True)
-    harness.run_consistency_sweep(spec, workers=args.workers)
+    harness.run_consistency_sweep(spec)
     return 0
 
 
@@ -190,7 +193,6 @@ def build_parser():
         sub = subs.add_parser(name)
         sub.add_argument("--config", required=True)
         sub.add_argument("--replicates", type=int, default=None)
-        sub.add_argument("--workers", type=int, default=1)
         sub.add_argument("--out", default=None)
         _add_solver_flags(sub)
         sub.set_defaults(func=func)
@@ -219,7 +221,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except (GagaError, OSError, ValueError) as exc:
-        print(f'error kind={type(exc).__name__} detail="{exc}"', file=sys.stderr)
+        # A ValueError here comes from parsing the user's input (a malformed
+        # number in a flag, a config value or an input file).
+        kind = "InvalidInput" if isinstance(exc, ValueError) else type(exc).__name__
+        print(f'error kind={kind} detail="{exc}"', file=sys.stderr)
         return 1
 
 

@@ -7,10 +7,8 @@ import csv
 import math
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,12 +27,8 @@ CSV_COLUMNS = [
 
 
 # ---------------------------------------------------------------------------
-# Normal CDF / Kolmogorov-Smirnov distance
+# Kolmogorov-Smirnov distance
 # ---------------------------------------------------------------------------
-
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
 
 def ks_distance(sample) -> float:
     """One-sample KS distance of a sample against the standard normal."""
@@ -58,20 +52,15 @@ def ks_distance(sample) -> float:
 
 @dataclass(frozen=True)
 class GagaEstimator:
+    """A fit function under a CSV name; ``fit=None`` is ``gaga_fit``, looked
+    up at each call."""
+
     config: GagaConfig = field(default_factory=GagaConfig)
     name: str = "gaga"
+    fit: Optional[Callable] = None
 
     def coefficients(self, instance: GeneratedInstance, replicate: int):
-        return gaga_fit(instance.problem, self.config).coefficients
-
-
-@dataclass(frozen=True)
-class GagaQrEstimator:
-    config: GagaConfig = field(default_factory=GagaConfig)
-    name: str = "gaga_qr"
-
-    def coefficients(self, instance: GeneratedInstance, replicate: int):
-        return gaga_qr_fit(instance.problem, self.config).coefficients
+        return (self.fit or gaga_fit)(instance.problem, self.config).coefficients
 
 
 class ExternalEstimates:
@@ -224,18 +213,10 @@ def _fmt(v):
     return v
 
 
-def run_experiment(spec: ExperimentSpec, workers: int = 1):
+def run_experiment(spec: ExperimentSpec):
     """Run every (replicate, estimator) cell, append per-estimator summary
     rows, and write the CSV when an output path is set. Returns the rows."""
-    if workers < 1:
-        raise InvalidInput(f"workers must be >= 1, got {workers}")
-    reps = range(spec.replicates)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda r: _run_replicate(spec, r), reps))
-    else:
-        chunks = [_run_replicate(spec, r) for r in reps]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = [row for r in range(spec.replicates) for row in _run_replicate(spec, r)]
     rows.extend(_summary_rows(spec, rows))
     if spec.output_path:
         write_rows(spec.output_path, rows)
@@ -245,7 +226,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1):
 SWEEP_COLUMNS = ["sample_size", "estimator", "mean_err", "mean_acc", "replicates"]
 
 
-def run_consistency_sweep(spec: ExperimentSpec, workers: int = 1):
+def run_consistency_sweep(spec: ExperimentSpec):
     """One averaged (err, acc) row per (sample size, estimator)."""
     if not spec.sample_sizes:
         raise InvalidInput("sweep needs sample_sizes")
@@ -256,7 +237,7 @@ def run_consistency_sweep(spec: ExperimentSpec, workers: int = 1):
             estimators=spec.estimators, base_seed=spec.base_seed,
             model_params={"n": int(n)}, record_timing=False,
         )
-        rows = run_experiment(sub, workers=workers)
+        rows = run_experiment(sub)
         for row in rows:
             if row["status"] == "summary" and row["replicate"] == "mean":
                 out.append({
@@ -357,6 +338,8 @@ def benchmark_timing(dimensions, n, repeats, config=None, base_seed=0,
     """Mean/median wall-clock per fit for the plain and QR solvers at each p."""
     if config is None:
         config = GagaConfig()
+    if repeats < 1:
+        raise InvalidInput(f"repeats must be >= 1, got {repeats}")
     rows = []
     for p in dimensions:
         if p > n:

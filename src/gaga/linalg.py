@@ -19,11 +19,16 @@ def default_rank_tolerance(gram_diag):
 
 
 def build_gram(problem: RegressionProblem) -> GramSystem:
-    """Precompute X'X (symmetrized by averaging), X'y and y'y."""
+    """Precompute X'X, X'y and y'y.
+
+    When the design has a unit stride, numpy hands x.T @ x to BLAS as one
+    symmetric rank-k update, which returns an exactly symmetric gram. Other
+    strides (stepped or reversed columns) would take a general product that
+    is not exactly symmetric, so such a design is copied first."""
     x, y = problem.design, problem.response
-    g = x.T @ x
-    g = 0.5 * (g + g.T)
-    return GramSystem(gram=g, cross=x.T @ y, response_sq_norm=float(y @ y))
+    if x.itemsize not in x.strides or min(x.strides) <= 0:
+        x = np.ascontiguousarray(x)
+    return GramSystem(gram=x.T @ x, cross=x.T @ y, response_sq_norm=float(y @ y))
 
 
 def is_diagonal(mat) -> bool:
@@ -31,7 +36,7 @@ def is_diagonal(mat) -> bool:
     return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
 
 
-def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, rank_tolerance=None):
+def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs):
     """Solve (gram + diag(penalty_diag)) s = rhs and return (s, diag of inverse).
 
     One Cholesky factorization serves both outputs. Exactly diagonal systems
@@ -42,10 +47,10 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, rank_tolerance=None
     gram = np.asarray(gram, dtype=float)
     if gram.ndim == 2 and is_diagonal(gram):
         gram = np.diagonal(gram)
-    return _solve(gram, penalty_diag, rhs, rank_tolerance)
+    return _solve(gram, penalty_diag, rhs)
 
 
-def _solve(gram, penalty_diag, rhs, rank_tolerance=None, inverse=True):
+def _solve(gram, penalty_diag, rhs, inverse=True):
     """``spd_solve_with_inverse_diagonal`` once the diagonal decision is made:
     a vector gram is a diagonal system, a matrix is factorized. Without
     ``inverse`` the second output is None and L^-1 is never formed."""
@@ -58,8 +63,7 @@ def _solve(gram, penalty_diag, rhs, rank_tolerance=None, inverse=True):
         raise InvalidInput("penalty_diag must be nonnegative")
 
     gram_diag = gram if gram.ndim == 1 else np.diagonal(gram)
-    if rank_tolerance is None:
-        rank_tolerance = default_rank_tolerance(np.abs(gram_diag) + 1e-300)
+    rank_tolerance = default_rank_tolerance(np.abs(gram_diag) + 1e-300)
 
     if gram.ndim == 1:
         diag = gram + penalty_diag
@@ -91,10 +95,7 @@ def _solve(gram, penalty_diag, rhs, rank_tolerance=None, inverse=True):
     return sol[:, 0], inv_diag
 
 
-def inverse_diagonal(gram, penalty_diag, rank_tolerance=None):
+def inverse_diagonal(gram, penalty_diag):
     """Diagonal of (gram + diag(penalty_diag))^-1 alone."""
-    p = gram.shape[0]
-    _, d = spd_solve_with_inverse_diagonal(
-        gram, penalty_diag, np.zeros(p), rank_tolerance=rank_tolerance
-    )
+    _, d = spd_solve_with_inverse_diagonal(gram, penalty_diag, np.zeros(gram.shape[0]))
     return d

@@ -32,20 +32,17 @@ class QrPlan:
     ols: np.ndarray
 
 
-def _ols_permutation(problem: RegressionProblem, rank_tolerance):
+def _ols_permutation(problem: RegressionProblem):
     if problem.p > problem.n:
         raise InvalidInput("need p <= n for the QR variant")
     gs = build_gram(problem)
     try:
-        ols, _ = _solve(gs.kernel_gram, np.zeros(problem.p), gs.cross, rank_tolerance,
-                        inverse=False)
+        ols, _ = _solve(gs.gram, np.zeros(problem.p), gs.cross, inverse=False)
     except SingularSystem as exc:
         raise RankDeficient(pivot=exc.pivot) from exc
     # Stable sort keeps original order on |ols| ties.
     perm = np.argsort(-np.abs(ols), kind="stable")
-    if rank_tolerance is None:
-        rank_tolerance = default_rank_tolerance(np.abs(np.diagonal(gs.gram)))
-    return gs, ols, perm, rank_tolerance
+    return gs, ols, perm, default_rank_tolerance(np.abs(gs.diagonal))
 
 
 def _check_rank(r_diag, rank_tolerance):
@@ -54,9 +51,9 @@ def _check_rank(r_diag, rank_tolerance):
         raise RankDeficient(pivot=int(small[0]))
 
 
-def plan_qr(problem: RegressionProblem, rank_tolerance: float = None) -> QrPlan:
+def plan_qr(problem: RegressionProblem) -> QrPlan:
     """Least-squares estimate, magnitude ordering, and sign-fixed thin QR."""
-    _, ols, perm, rank_tolerance = _ols_permutation(problem, rank_tolerance)
+    _, ols, perm, rank_tolerance = _ols_permutation(problem)
     x_new = problem.design[:, perm]
     q, r = np.linalg.qr(x_new, mode="reduced")
     signs = np.where(np.diagonal(r) < 0, -1.0, 1.0)
@@ -69,9 +66,12 @@ def plan_qr(problem: RegressionProblem, rank_tolerance: float = None) -> QrPlan:
 def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
     """R and Q'y of the column-permuted design from its gram alone: R is the
     upper Cholesky factor of P'X'XP and Q'y = R^-T P'X'y."""
+    gram = gram_system.gram
+    if gram.ndim == 1:  # an orthogonal design
+        gram = np.diag(gram)
     # P'GP is symmetric, so its transpose is the same matrix in the Fortran
     # order LAPACK factorizes in place, without another p×p copy.
-    permuted = gram_system.gram[np.ix_(perm, perm)].T
+    permuted = gram[np.ix_(perm, perm)].T
     r, info = lapack.dpotrf(permuted, lower=0, clean=1, overwrite_a=1)
     if info > 0:
         raise RankDeficient(pivot=int(info) - 1)
@@ -87,19 +87,20 @@ def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
 def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = None) -> SignalEstimate:
     """Fit in the rotated basis and map the estimate back.
 
-    The rotated gram is the identity, so the inner solver runs on an exact
-    identity gram: it never factorizes, and each iteration is O(p) work.
+    The rotated gram is the identity, so the inner solver runs on the vector
+    of ones as its diagonal gram: it never factorizes, and each iteration is
+    O(p) work.
     Support is whatever survives the triangular back-substitution: zeros come
     only from the inner truncation, with sub-roundoff leakage snapped back to
     zero.
     """
     if config is None:
         config = GagaConfig()
-    gs, _, perm, rank_tolerance = _ols_permutation(problem, config.rank_tolerance)
+    gs, _, perm, rank_tolerance = _ols_permutation(problem)
     p = problem.p
     r_factor, qty = _cholesky_qr(gs, perm, rank_tolerance)
     inner = GramSystem(
-        gram=np.eye(p),
+        gram=np.ones(p),
         cross=qty,
         response_sq_norm=gs.response_sq_norm,
     )

@@ -14,10 +14,8 @@ from .errors import SingularGram, SingularSystem
 from .linalg import _solve, build_gram
 from .types import (
     ESTIMATED,
-    FIXED,
     GagaConfig,
     GramSystem,
-    IterationRecord,
     RegressionProblem,
     SignalEstimate,
     SolverState,
@@ -25,11 +23,9 @@ from .types import (
 
 
 def resolve_tuning_clamp(config: GagaConfig, gram_system: GramSystem) -> float:
-    if config.tuning_clamp is not None:
-        return config.tuning_clamp
     # Uncapped weights on dead coordinates grow geometrically and overflow;
     # anything this large is indistinguishable after truncation.
-    return 1e12 * float(np.max(np.diagonal(gram_system.gram)))
+    return 1e12 * float(np.max(gram_system.diagonal))
 
 
 def variance_floor(gram_system: GramSystem, n_obs: int) -> float:
@@ -46,19 +42,13 @@ def initial_state(p: int) -> SolverState:
     )
 
 
-def estimate_variance_residual(beta, problem: RegressionProblem) -> float:
-    """Mean squared residual (X beta - y)'(X beta - y) / n."""
-    r = problem.design @ np.asarray(beta, dtype=float) - problem.response
-    return float(r @ r) / problem.n
-
-
 def estimate_variance_em(state: SolverState, gram_system: GramSystem, n: int) -> float:
     """Expected residual sum of squares under the current posterior, / n.
 
     (y'y - 2 b'X'y + b'X'Xb + var * tr(D X'X)) / n, with
     tr(D X'X) = p - sum_j D_jj * penalty_j since D = (X'X + B)^-1.
     """
-    g, c = gram_system.kernel_gram, gram_system.cross
+    g, c = gram_system.gram, gram_system.cross
     beta = state.beta
     g_beta = g * beta if g.ndim == 1 else g @ beta
     trace_term = gram_system.p - float(state.inv_diag @ state.tuning)
@@ -82,21 +72,13 @@ def gaga_step(
     then refresh penalties and (optionally) the noise variance."""
     if tuning_clamp is None:
         tuning_clamp = resolve_tuning_clamp(config, gram_system)
-    beta, inv_diag = _solve(
-        gram_system.kernel_gram, state.tuning, gram_system.cross, config.rank_tolerance
-    )
+    beta, inv_diag = _solve(gram_system.gram, state.tuning, gram_system.cross)
     new_tuning = np.minimum(
         tuning_clamp, config.alpha / (beta * beta / state.variance + inv_diag)
     )
     floored = False
     if config.variance_mode == ESTIMATED:
-        interim = SolverState(
-            iteration=state.iteration,
-            tuning=state.tuning,
-            beta=beta,
-            inv_diag=inv_diag,
-            variance=state.variance,
-        )
+        interim = dataclasses.replace(state, beta=beta, inv_diag=inv_diag)
         var = estimate_variance_em(interim, gram_system, n_obs)
         floor = variance_floor(gram_system, n_obs)
         if var < floor:
@@ -116,7 +98,7 @@ def gaga_step(
 
 def hard_truncate(
     beta_star, tuning_star, gram_system: GramSystem, variance: float,
-    rank_tolerance=None, penalized_inv_diag=None,
+    penalized_inv_diag=None,
 ) -> SignalEstimate:
     """Zero every coefficient whose square falls below the variance gap
     var * ((X'X)^-1_jj - (X'X + B*)^-1_jj).
@@ -125,16 +107,16 @@ def hard_truncate(
     from the solve that produced ``beta_star``; otherwise it is computed."""
     beta_star = np.asarray(beta_star, dtype=float)
     tuning_star = np.asarray(tuning_star, dtype=float)
-    gram, zeros = gram_system.kernel_gram, np.zeros(gram_system.p)
+    gram, zeros = gram_system.gram, np.zeros(gram_system.p)
     try:
-        _, unpenalized = _solve(gram, zeros, zeros, rank_tolerance)
+        _, unpenalized = _solve(gram, zeros, zeros)
     except SingularSystem as exc:
         raise SingularGram(
             f"X'X singular at pivot {exc.pivot}; truncation needs its inverse diagonal"
         ) from exc
     penalized = penalized_inv_diag
     if penalized is None:
-        _, penalized = _solve(gram, tuning_star, zeros, rank_tolerance)
+        _, penalized = _solve(gram, tuning_star, zeros)
     threshold = variance * (unpenalized - penalized)
     keep = beta_star * beta_star >= threshold
     coef = np.where(keep, beta_star, 0.0)
@@ -147,34 +129,20 @@ def hard_truncate(
 
 
 def fit_gram(gram_system: GramSystem, n_obs: int, config: GagaConfig) -> SignalEstimate:
-    """Run the solver given precomputed normal-equation pieces.
-
-    Whether the gram is diagonal is decided once, on the first solve (see
-    ``GramSystem.kernel_gram``); a diagonal gram makes every solve of the fit
-    O(p) work."""
+    """Run the solver given precomputed normal-equation pieces. A diagonal
+    gram (see ``GramSystem``) makes every solve of the fit O(p) work."""
     clamp = resolve_tuning_clamp(config, gram_system)
     state = initial_state(gram_system.p)
     trace = [] if config.record_trace else None
     for _ in range(config.iterations):
         state = gaga_step(state, gram_system, config, n_obs, tuning_clamp=clamp)
         if trace is not None:
-            trace.append(
-                IterationRecord(
-                    iteration=state.iteration,
-                    tuning=state.tuning,
-                    beta=state.beta,
-                    variance=state.variance,
-                    variance_floored=state.variance_floored,
-                )
-            )
+            trace.append(state)
     b_star = state.tuning / config.alpha
-    beta_star, inv_diag_star = _solve(
-        gram_system.kernel_gram, b_star, gram_system.cross, config.rank_tolerance
-    )
+    beta_star, inv_diag_star = _solve(gram_system.gram, b_star, gram_system.cross)
     final_var = state.variance if config.variance_mode == ESTIMATED else 1.0
     estimate = hard_truncate(
-        beta_star, b_star, gram_system, final_var,
-        rank_tolerance=config.rank_tolerance, penalized_inv_diag=inv_diag_star,
+        beta_star, b_star, gram_system, final_var, penalized_inv_diag=inv_diag_star
     )
     if trace is not None:
         estimate = dataclasses.replace(estimate, trace=tuple(trace))

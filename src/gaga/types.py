@@ -1,7 +1,6 @@
 """Shared domain types: problems, solver configuration, estimates."""
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,18 +58,12 @@ class RegressionProblem:
 
 @dataclass(frozen=True)
 class GagaConfig:
-    """Solver configuration.
-
-    ``tuning_clamp`` and ``rank_tolerance`` may be None, meaning scale-relative
-    defaults are derived from the gram diagonal at fit time
-    (1e12 * max diag and 1e-10 * max diag respectively).
-    """
+    """Solver configuration. The weight clamp and the rank tolerance are not
+    settings: both scale with the gram diagonal of each fit."""
 
     iterations: int = 50
     alpha: float = 2.0
     variance_mode: str = FIXED
-    tuning_clamp: Optional[float] = None
-    rank_tolerance: Optional[float] = None
     record_trace: bool = False
 
     def __post_init__(self):
@@ -80,21 +73,6 @@ class GagaConfig:
             raise InvalidInput("alpha must be > 1")
         if self.variance_mode not in (FIXED, ESTIMATED):
             raise InvalidInput(f"unknown variance_mode {self.variance_mode!r}")
-        if self.tuning_clamp is not None and not self.tuning_clamp > 0:
-            raise InvalidInput("tuning_clamp must be positive")
-        if self.rank_tolerance is not None and not self.rank_tolerance > 0:
-            raise InvalidInput("rank_tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """One solver iteration snapshot (kept only when tracing is on)."""
-
-    iteration: int
-    tuning: np.ndarray
-    beta: np.ndarray
-    variance: float
-    variance_floored: bool = False
 
 
 @dataclass(frozen=True)
@@ -125,30 +103,35 @@ class SignalEstimate:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Precomputed normal-equation pieces: X'X (symmetrized), X'y and y'y."""
+    """Precomputed normal-equation pieces: X'X, X'y and y'y.
+
+    An exactly diagonal X'X is stored as the length-p vector of its diagonal,
+    so whether a system is diagonal is decided once, here, and every solve on
+    a diagonal system takes the O(p) closed form."""
 
     gram: np.ndarray
     cross: np.ndarray
     response_sq_norm: float
 
+    def __post_init__(self):
+        from . import linalg  # linalg imports this module
+
+        if self.gram.ndim == 2 and linalg.is_diagonal(self.gram):
+            object.__setattr__(self, "gram", np.diagonal(self.gram).copy())
+
     @property
     def p(self) -> int:
         return self.gram.shape[0]
 
-    @cached_property
-    def kernel_gram(self) -> np.ndarray:
-        """The gram in the form every solve on this system passes to the
-        kernel: the vector of its diagonal when the gram is exactly diagonal,
-        else the matrix itself. Decided on first use, so one diagonality
-        check serves all the solves of a fit."""
-        from . import linalg  # linalg imports this module
-
-        return np.diagonal(self.gram) if linalg.is_diagonal(self.gram) else self.gram
+    @property
+    def diagonal(self) -> np.ndarray:
+        return self.gram if self.gram.ndim == 1 else np.diagonal(self.gram)
 
 
 @dataclass(frozen=True)
 class SolverState:
-    """State carried between solver iterations."""
+    """State carried between solver iterations; with ``record_trace`` on, the
+    state after each iteration is kept in ``SignalEstimate.trace``."""
 
     iteration: int
     tuning: np.ndarray

@@ -8,6 +8,13 @@ from gaga.cli import main
 from gaga.datagen import gen_model1, save_instance
 
 
+def single_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error kind=InvalidInput detail=")
+    return err
+
+
 @pytest.fixture
 def saved_instance(tmp_path):
     inst = gen_model1(0)
@@ -60,6 +67,12 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error kind=")
 
+    def test_empty_design_file_fails(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert main(["fit", "--design", str(empty), "--out", str(tmp_path / "o.csv")]) == 1
+        assert "no data rows" in single_error_line(capsys)
+
     def test_bad_alpha_reports_error(self, saved_instance, tmp_path, capsys):
         _, dpath = saved_instance
         code = main(["fit", "--design", str(dpath), "--alpha", "1.0",
@@ -109,31 +122,25 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg)]) == 1
         assert "error kind=InvalidInput" in capsys.readouterr().err
 
-    @staticmethod
-    def _single_error_line(capsys):
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error kind=InvalidInput detail=")
-        return err
-
     def test_consistency_without_n_fails(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"model = consistency\nreplicates = 1\nout = {tmp_path / 'o.csv'}\n")
         assert main(["experiment", "--config", str(cfg)]) == 1
-        assert "needs n" in self._single_error_line(capsys)
+        assert "needs n" in single_error_line(capsys)
 
     def test_orthogonal_model_fails(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"model = orthogonal\nreplicates = 1\nout = {tmp_path / 'o.csv'}\n")
         assert main(["experiment", "--config", str(cfg)]) == 1
-        assert "'orthogonal' needs" in self._single_error_line(capsys)
+        assert "'orthogonal' needs" in single_error_line(capsys)
 
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_nonpositive_workers_fail(self, tmp_path, capsys, workers):
+    @pytest.mark.parametrize("line", ["record_timing = maybe", "iterations = 2.5",
+                                      "alpha = abc"])
+    def test_malformed_config_value_fails(self, tmp_path, capsys, line):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"model = model1\nreplicates = 1\nout = {tmp_path / 'o.csv'}\n")
-        assert main(["experiment", "--config", str(cfg), "--workers", workers]) == 1
-        assert "workers must be >= 1" in self._single_error_line(capsys)
+        cfg.write_text(f"model = model1\nreplicates = 1\n{line}\nout = {tmp_path / 'o.csv'}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        single_error_line(capsys)
 
     def test_linalg_error_recorded_as_row_status(self, tmp_path, monkeypatch):
         import gaga.harness
@@ -189,6 +196,11 @@ class TestValidate:
         assert len(rows) == 1
         assert int(rows[0]["replicates"]) == 5
 
+    def test_malformed_beta_star_fails(self, capsys):
+        assert main(["validate", "--n", "100", "--beta-star", "1,a",
+                     "--sigma-star", "1.0,1.0"]) == 1
+        single_error_line(capsys)
+
 
 class TestBench:
     def test_tiny_benchmark(self, tmp_path, capsys):
@@ -204,3 +216,9 @@ class TestBench:
         assert main(["bench", "--dimensions", "100", "--n", "20",
                      "--repeats", "1"]) == 1
         assert "error kind=InvalidInput" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--dimensions", "5,x", "--repeats", "1"],
+                                      ["--dimensions", "5", "--repeats", "0"]])
+    def test_malformed_arguments_fail(self, capsys, args):
+        assert main(["bench", "--n", "20", *args]) == 1
+        single_error_line(capsys)

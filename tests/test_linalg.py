@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaga import InvalidInput, RegressionProblem, SingularSystem, build_gram
+from gaga import GramSystem, InvalidInput, RegressionProblem, SingularSystem, build_gram
 from gaga.datagen import gen_model1
 from gaga.linalg import inverse_diagonal, is_diagonal, spd_solve_with_inverse_diagonal
 
@@ -15,14 +15,14 @@ class TestBuildGram:
     def test_identity_design(self):
         pr = RegressionProblem(design=np.eye(2), response=np.array([1.0, 2.0]))
         gs = build_gram(pr)
-        assert np.array_equal(gs.gram, np.eye(2))
+        assert np.array_equal(gs.gram, [1.0, 1.0])  # a diagonal gram is its diagonal
         assert np.array_equal(gs.cross, [1.0, 2.0])
         assert gs.response_sq_norm == 5.0
 
     def test_single_column(self):
         pr = RegressionProblem(design=np.ones((2, 1)), response=np.array([1.0, 1.0]))
         gs = build_gram(pr)
-        assert gs.gram[0, 0] == 2.0
+        assert np.array_equal(gs.gram, [2.0])  # a 1x1 gram is diagonal
         assert gs.cross[0] == 2.0
         assert gs.response_sq_norm == 2.0
 
@@ -32,6 +32,26 @@ class TestBuildGram:
         assert np.array_equal(gs.gram, gs.gram.T)
         # eigenvalue oracle for positive semidefiniteness
         assert np.linalg.eigvalsh(gs.gram).min() >= -1e-10 * np.abs(gs.gram).max()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "column_block", "column_step",
+                                        "row_stride", "reversed"])
+    def test_gram_exactly_symmetric(self, layout):
+        # build_gram does not symmetrize. Stepped and reversed columns give an
+        # asymmetric x.T @ x from p ~ 130 unless build_gram copies them first.
+        rng = np.random.default_rng(7)
+        for n, p in [(3, 2), (7, 5), (40, 17), (300, 64), (129, 130), (600, 333)]:
+            base = rng.standard_normal((2 * n, 2 * p))
+            x = {"C": base[:n, :p].copy(), "F": np.asfortranarray(base[:n, :p]),
+                 "column_block": base[:n, 1:p + 1], "column_step": base[:n, 1::2],
+                 "row_stride": base[::2, :p], "reversed": base[:n, p - 1::-1]}[layout]
+            g = build_gram(RegressionProblem(design=x, response=np.zeros(n))).gram
+            assert np.array_equal(g, g.T)
+
+    def test_diagonal_gram_stored_as_vector(self):
+        v = np.array([2.0, 0.5, 3.0])
+        gs = GramSystem(gram=np.diag(v), cross=np.zeros(3), response_sq_norm=0.0)
+        assert gs.gram.shape == (3,) and np.array_equal(gs.gram, v)
+        assert gs.p == 3 and np.array_equal(gs.diagonal, v)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):

@@ -211,6 +211,12 @@ class TestDiagonalDecidedOnce:
         assert est.support.any()
         assert len(diag_checks) <= 1
 
+    def test_dense_qr_fit_checks_only_the_design_gram(self, diag_checks):
+        # the inner system is built from its diagonal vector, so it needs no check
+        est = gaga_qr_fit(equicorrelated_problem(0), GagaConfig())
+        assert est.support.any()
+        assert diag_checks == [(20, 20)]
+
     def test_diagonal_fit(self, diag_checks):
         gs = GramSystem(gram=np.diag([2.0, 0.5, 3.0]), cross=np.array([4.0, 0.1, -3.0]),
                         response_sq_norm=30.0)

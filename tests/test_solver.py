@@ -12,7 +12,6 @@ from gaga import (
     SingularGram,
     build_gram,
     estimate_variance_em,
-    estimate_variance_residual,
     gaga_fit,
     gaga_step,
     hard_truncate,
@@ -72,26 +71,6 @@ class TestGagaStep:
 
 
 class TestVarianceEstimates:
-    def test_residual_zero(self):
-        pr = RegressionProblem(design=np.eye(2), response=np.array([1.0, 2.0]))
-        assert estimate_variance_residual([1.0, 2.0], pr) == 0.0
-
-    def test_residual_hand_value(self):
-        pr = RegressionProblem(design=np.eye(2), response=np.array([1.0, 1.0]))
-        assert estimate_variance_residual([0.0, 0.0], pr) == 1.0
-
-    def test_residual_matches_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((7, 3))
-        y = rng.standard_normal(7)
-        beta = rng.standard_normal(3)
-        pr = RegressionProblem(design=x, response=y)
-        total = 0.0
-        for i in range(7):
-            r = sum(x[i, j] * beta[j] for j in range(3)) - y[i]
-            total += r * r
-        assert estimate_variance_residual(beta, pr) == pytest.approx(total / 7)
-
     def test_em_orthonormal_hand_value(self):
         gs = orthonormal_gram(2, [0.0, 0.0], 4.0)
         state = SolverState(iteration=0, tuning=np.zeros(2), beta=np.zeros(2),
@@ -111,7 +90,6 @@ class TestVarianceEstimates:
         inv_diag = np.diagonal(np.linalg.inv(gs.gram))
         state = SolverState(iteration=0, tuning=np.zeros(3), beta=ols,
                             inv_diag=inv_diag, variance=1.0)
-        assert estimate_variance_residual(ols, pr) == pytest.approx(0.0, abs=1e-12)
         assert estimate_variance_em(state, gs, n=20) == pytest.approx(3 / 20, rel=1e-9)
 
     def test_em_matches_explicit_trace_oracle(self):
@@ -185,6 +163,19 @@ class TestGagaFit:
         gs = build_gram(pr)
         ols = np.linalg.solve(gs.gram, gs.cross)
         assert np.allclose(est.trace[0].beta, ols, rtol=1e-10)
+
+    def test_trace_holds_solver_states(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((12, 3))
+        pr = RegressionProblem(design=x, response=x[:, 0] + rng.standard_normal(12))
+        est = gaga_fit(pr, GagaConfig(iterations=4, variance_mode=ESTIMATED,
+                                      record_trace=True))
+        assert [type(s) for s in est.trace] == [SolverState] * 4
+        assert [s.iteration for s in est.trace] == [1, 2, 3, 4]
+        last = est.trace[-1]
+        assert np.array_equal(last.tuning / 2.0, est.tuning)
+        assert last.beta.shape == (3,) and last.variance == est.estimated_variance
+        assert last.variance_floored is False
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(6)
