@@ -9,7 +9,6 @@ from .errors import (
     InvalidInput,
     InvalidSize,
     RankDeficient,
-    SingularGram,
     SingularSystem,
 )
 from .fixed_point import (
@@ -56,6 +55,6 @@ __all__ = [
     "CONVERGENT", "DIVERGENT", "UNDECIDED",
     "err", "acc", "EvaluationReport",
     "GagaError", "InvalidInput", "InvalidAlpha", "InvalidSize",
-    "InvalidCorrelation", "DimensionError", "SingularSystem", "SingularGram",
+    "InvalidCorrelation", "DimensionError", "SingularSystem",
     "RankDeficient",
 ]

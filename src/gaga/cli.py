@@ -8,6 +8,7 @@ machine-readable ``error kind=... detail=...`` line on stderr.
 
 import argparse
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -143,14 +144,10 @@ def _cmd_validate(args):
         config=_solver_config(args),
         base_seed=args.seed if args.seed is not None else 0,
     )
-    rows = [{k: getattr(report, k) for k in (
-        "truncation_rate_zero_coef", "retention_rate_nonzero_coef",
-        "normality_statistic", "tuning_limit_error", "sample_size",
-        "replicates", "zero_positions", "zero_truncated",
-        "nonzero_positions", "nonzero_retained")}]
+    row = dataclasses.asdict(report)
     if args.out:
-        harness.write_rows(args.out, rows, columns=list(rows[0]))
-    for key, value in rows[0].items():
+        harness.write_rows(args.out, [row], columns=list(row))
+    for key, value in row.items():
         print(f"{key}={value}")
     return 0
 

@@ -33,10 +33,6 @@ class SingularSystem(GagaError):
         super().__init__(message or f"system not positive definite at pivot {pivot}")
 
 
-class SingularGram(GagaError):
-    """X'X itself is singular; hard truncation needs its inverse diagonal."""
-
-
 class RankDeficient(GagaError):
     """Design matrix is column rank deficient; ``pivot`` is the offending pivot."""
 

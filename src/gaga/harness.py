@@ -148,12 +148,9 @@ def _run_replicate(spec: ExperimentSpec, replicate: int):
     instance = generate_instance(spec.model, seed, **spec.model_params)
     rows = []
     for estimator in spec.estimators:
-        row = {
-            "model_tag": instance.model_tag, "seed": seed,
-            "replicate": replicate, "estimator": estimator.name,
-            "err": "", "acc": "", "tp": "", "tn": "", "fp": "", "fn": "",
-            "wall_ms": "", "status": "ok",
-        }
+        row = dict.fromkeys(CSV_COLUMNS, "")
+        row.update(model_tag=instance.model_tag, seed=seed, replicate=replicate,
+                   estimator=estimator.name, status="ok")
         try:
             start = time.perf_counter()
             coef = estimator.coefficients(instance, replicate)
@@ -179,12 +176,9 @@ def _summary_rows(spec: ExperimentSpec, data_rows):
         ok = [r for r in data_rows
               if r["estimator"] == estimator.name and r["status"] == "ok"]
         for kind in ("mean", "std"):
-            row = {
-                "model_tag": spec.model, "seed": "", "replicate": kind,
-                "estimator": estimator.name,
-                "err": "", "acc": "", "tp": "", "tn": "", "fp": "", "fn": "",
-                "wall_ms": "", "status": "summary",
-            }
+            row = dict.fromkeys(CSV_COLUMNS, "")
+            row.update(model_tag=spec.model, replicate=kind,
+                       estimator=estimator.name, status="summary")
             if ok:
                 for col in ("err", "acc", "tp", "tn", "fp", "fn"):
                     vals = [float(r[col]) for r in ok]
@@ -274,6 +268,8 @@ def validate_theorems(n, replicates, beta_star, sigma_star, config=None,
     coefficients are truncated, how often nonzero ones survive, the KS
     distance of the standardized nonzero-coordinate errors from N(0,1), and
     the median gap between the final tuning weight and its large-sample limit."""
+    if replicates < 1:
+        raise InvalidInput(f"replicates must be >= 1, got {replicates}")
     if config is None:
         config = GagaConfig()
     beta_star = np.asarray(beta_star, dtype=float)

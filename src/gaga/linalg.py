@@ -3,8 +3,9 @@ returns the diagonal of the inverse.
 
 The inverse diagonal comes from the triangular Cholesky factor
 (diag(A^-1)_j = sum_k (L^-1)_{kj}^2), never from forming the full inverse.
-A diagonal system can be passed as the length-p vector of its diagonal; it
-takes the closed form and never factorizes.
+A matrix gram is always factorized. A diagonal system is passed as the
+length-p vector of its diagonal, as ``GramSystem`` stores one; it takes the
+closed form and never factorizes.
 """
 
 import numpy as np
@@ -36,24 +37,17 @@ def is_diagonal(mat) -> bool:
     return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
 
 
-def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs):
+def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     """Solve (gram + diag(penalty_diag)) s = rhs and return (s, diag of inverse).
 
-    One Cholesky factorization serves both outputs. Exactly diagonal systems
-    skip factorization entirely (closed form), which keeps orthogonal-design
-    trajectories bit-equal to the scalar recursion. ``gram`` may also be the
-    length-p vector of a diagonal system's diagonal.
+    The gram's shape picks the method. A length-p vector is the diagonal of a
+    diagonal system and takes the closed form, which keeps orthogonal-design
+    trajectories bit-equal to the scalar recursion; ``GramSystem`` stores an
+    exactly diagonal X'X that way. A matrix is always factorized, and one
+    Cholesky factorization serves both outputs. Without ``inverse`` the second
+    output is None and L^-1 is never formed.
     """
     gram = np.asarray(gram, dtype=float)
-    if gram.ndim == 2 and is_diagonal(gram):
-        gram = np.diagonal(gram)
-    return _solve(gram, penalty_diag, rhs)
-
-
-def _solve(gram, penalty_diag, rhs, inverse=True):
-    """``spd_solve_with_inverse_diagonal`` once the diagonal decision is made:
-    a vector gram is a diagonal system, a matrix is factorized. Without
-    ``inverse`` the second output is None and L^-1 is never formed."""
     penalty_diag = np.asarray(penalty_diag, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     p = gram.shape[0]

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .errors import InvalidInput, RankDeficient, SingularSystem
-from .linalg import _solve, build_gram, default_rank_tolerance
+from .linalg import build_gram, default_rank_tolerance, spd_solve_with_inverse_diagonal
 from .solver import fit_gram
 from .types import GagaConfig, GramSystem, RegressionProblem, SignalEstimate
 
@@ -37,7 +37,8 @@ def _ols_permutation(problem: RegressionProblem):
         raise InvalidInput("need p <= n for the QR variant")
     gs = build_gram(problem)
     try:
-        ols, _ = _solve(gs.gram, np.zeros(problem.p), gs.cross, inverse=False)
+        ols, _ = spd_solve_with_inverse_diagonal(
+            gs.gram, np.zeros(problem.p), gs.cross, inverse=False)
     except SingularSystem as exc:
         raise RankDeficient(pivot=exc.pivot) from exc
     # Stable sort keeps original order on |ols| ties.

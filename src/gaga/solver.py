@@ -10,8 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import SingularGram, SingularSystem
-from .linalg import _solve, build_gram
+from .linalg import build_gram, spd_solve_with_inverse_diagonal
 from .types import (
     ESTIMATED,
     GagaConfig,
@@ -66,15 +65,14 @@ def gaga_step(
     gram_system: GramSystem,
     config: GagaConfig,
     n_obs: int,
-    tuning_clamp: float = None,
 ) -> SolverState:
     """Advance one iteration: solve for the signal under the incoming penalties,
     then refresh penalties and (optionally) the noise variance."""
-    if tuning_clamp is None:
-        tuning_clamp = resolve_tuning_clamp(config, gram_system)
-    beta, inv_diag = _solve(gram_system.gram, state.tuning, gram_system.cross)
+    beta, inv_diag = spd_solve_with_inverse_diagonal(
+        gram_system.gram, state.tuning, gram_system.cross)
     new_tuning = np.minimum(
-        tuning_clamp, config.alpha / (beta * beta / state.variance + inv_diag)
+        resolve_tuning_clamp(config, gram_system),
+        config.alpha / (beta * beta / state.variance + inv_diag),
     )
     floored = False
     if config.variance_mode == ESTIMATED:
@@ -97,27 +95,13 @@ def gaga_step(
 
 
 def hard_truncate(
-    beta_star, tuning_star, gram_system: GramSystem, variance: float,
-    penalized_inv_diag=None,
+    beta_star, tuning_star, variance: float, unpenalized_inv_diag, penalized_inv_diag,
 ) -> SignalEstimate:
     """Zero every coefficient whose square falls below the variance gap
-    var * ((X'X)^-1_jj - (X'X + B*)^-1_jj).
-
-    ``penalized_inv_diag`` is (X'X + B*)^-1_jj when the caller already has it
-    from the solve that produced ``beta_star``; otherwise it is computed."""
+    var * ((X'X)^-1_jj - (X'X + B*)^-1_jj), given both inverse diagonals."""
     beta_star = np.asarray(beta_star, dtype=float)
     tuning_star = np.asarray(tuning_star, dtype=float)
-    gram, zeros = gram_system.gram, np.zeros(gram_system.p)
-    try:
-        _, unpenalized = _solve(gram, zeros, zeros)
-    except SingularSystem as exc:
-        raise SingularGram(
-            f"X'X singular at pivot {exc.pivot}; truncation needs its inverse diagonal"
-        ) from exc
-    penalized = penalized_inv_diag
-    if penalized is None:
-        _, penalized = _solve(gram, tuning_star, zeros)
-    threshold = variance * (unpenalized - penalized)
+    threshold = variance * np.subtract(unpenalized_inv_diag, penalized_inv_diag)
     keep = beta_star * beta_star >= threshold
     coef = np.where(keep, beta_star, 0.0)
     return SignalEstimate(
@@ -130,20 +114,25 @@ def hard_truncate(
 
 def fit_gram(gram_system: GramSystem, n_obs: int, config: GagaConfig) -> SignalEstimate:
     """Run the solver given precomputed normal-equation pieces. A diagonal
-    gram (see ``GramSystem``) makes every solve of the fit O(p) work."""
-    clamp = resolve_tuning_clamp(config, gram_system)
+    gram (see ``GramSystem``) makes every solve of the fit O(p) work.
+
+    Iteration 1 starts from zero penalties, so it solves with X'X itself and
+    its inverse diagonal is the (X'X)^-1_jj that the truncation needs: no
+    solve is repeated."""
     state = initial_state(gram_system.p)
     trace = [] if config.record_trace else None
     for _ in range(config.iterations):
-        state = gaga_step(state, gram_system, config, n_obs, tuning_clamp=clamp)
+        state = gaga_step(state, gram_system, config, n_obs)
+        if state.iteration == 1:
+            unpenalized_inv_diag = state.inv_diag
         if trace is not None:
             trace.append(state)
     b_star = state.tuning / config.alpha
-    beta_star, inv_diag_star = _solve(gram_system.gram, b_star, gram_system.cross)
+    beta_star, inv_diag_star = spd_solve_with_inverse_diagonal(
+        gram_system.gram, b_star, gram_system.cross)
     final_var = state.variance if config.variance_mode == ESTIMATED else 1.0
     estimate = hard_truncate(
-        beta_star, b_star, gram_system, final_var, penalized_inv_diag=inv_diag_star
-    )
+        beta_star, b_star, final_var, unpenalized_inv_diag, inv_diag_star)
     if trace is not None:
         estimate = dataclasses.replace(estimate, trace=tuple(trace))
     return estimate

@@ -201,6 +201,12 @@ class TestValidate:
                      "--sigma-star", "1.0,1.0"]) == 1
         single_error_line(capsys)
 
+    def test_zero_replicates_fails(self, capsys):
+        # no replicate means no measured rate, not rates of 0.0
+        assert main(["validate", "--n", "100", "--replicates", "0",
+                     "--beta-star", "1,0", "--sigma-star", "1,1"]) == 1
+        single_error_line(capsys)
+
 
 class TestBench:
     def test_tiny_benchmark(self, tmp_path, capsys):

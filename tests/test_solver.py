@@ -9,7 +9,7 @@ from gaga import (
     InvalidInput,
     RegressionProblem,
     SignalEstimate,
-    SingularGram,
+    SingularSystem,
     build_gram,
     estimate_variance_em,
     gaga_fit,
@@ -58,7 +58,7 @@ class TestGagaStep:
         state = initial_state(6)
         clamp = 1e12 * sigma.max()
         for _ in range(30):
-            state = gaga_step(state, gs, config, n_obs=100, tuning_clamp=clamp)
+            state = gaga_step(state, gs, config, n_obs=100)
             b_scalar = np.minimum(clamp, 2.0 * (b_scalar + sigma) ** 2 / (b_scalar + sigma + z))
             assert np.allclose(state.tuning, b_scalar, rtol=1e-10, atol=0)
 
@@ -110,39 +110,61 @@ class TestVarianceEstimates:
 
 
 class TestHardTruncate:
+    # On an orthonormal design (X'X)^-1_jj = 1 and (X'X + B*)^-1_jj = 1/(1 + b*).
+
     def test_zero_tuning_keeps_everything(self):
-        gs = orthonormal_gram(3, [1.0, 2.0, 3.0], 14.0)
-        est = hard_truncate(np.array([0.1, -0.2, 0.0]), np.zeros(3), gs, 1.0)
+        est = hard_truncate(np.array([0.1, -0.2, 0.0]), np.zeros(3), 1.0,
+                            np.ones(3), np.ones(3))
         assert est.support.all()
 
     def test_orthonormal_hand_threshold(self):
         # b* = 3: threshold = 1 - 1/4 = 0.75
-        gs = orthonormal_gram(2, [0.5, 1.0], 2.0)
-        est = hard_truncate(np.array([0.5, 1.0]), np.array([3.0, 3.0]), gs, 1.0)
+        est = hard_truncate(np.array([0.5, 1.0]), np.array([3.0, 3.0]), 1.0,
+                            np.ones(2), np.full(2, 0.25))
         assert not est.support[0]  # 0.25 < 0.75
         assert est.support[1]      # 1.0 >= 0.75
         assert est.coefficients[0] == 0.0
 
-    def test_zero_response_truncates_all(self):
-        gs = orthonormal_gram(2, [0.0, 0.0], 0.0)
-        est = hard_truncate(np.zeros(2), np.array([5.0, 5.0]), gs, 1.0)
-        assert not est.support.any()
+    def test_variance_scales_threshold(self):
+        # var = 2, b* = 3: threshold = 2 * 0.75 = 1.5
+        est = hard_truncate(np.array([1.0, 1.5]), np.array([3.0, 3.0]), 2.0,
+                            np.ones(2), np.full(2, 0.25))
+        assert list(est.support) == [False, True]
 
-    def test_passed_inverse_diagonal_matches_computed(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((40, 5))
-        gs = build_gram(RegressionProblem(design=x, response=rng.standard_normal(40)))
-        b = rng.uniform(0.1, 5.0, 5)
-        beta, inv_diag = spd_solve_with_inverse_diagonal(gs.gram, b, gs.cross)
-        a = hard_truncate(beta, b, gs, 1.0)
-        c = hard_truncate(beta, b, gs, 1.0, penalized_inv_diag=inv_diag)
-        assert np.array_equal(a.coefficients, c.coefficients)
-        assert np.array_equal(a.support, c.support)
+    def test_zero_response_truncates_all(self):
+        est = hard_truncate(np.zeros(2), np.array([5.0, 5.0]), 1.0,
+                            np.ones(2), np.full(2, 1.0 / 6.0))
+        assert not est.support.any()
 
     def test_singular_gram(self):
         gs = GramSystem(gram=np.zeros((2, 2)), cross=np.zeros(2), response_sq_norm=0.0)
-        with pytest.raises(SingularGram):
-            hard_truncate(np.zeros(2), np.ones(2), gs, 1.0)
+        with pytest.raises(SingularSystem):
+            fit_gram(gs, 10, GagaConfig())
+
+    @pytest.mark.parametrize("mode", [FIXED, ESTIMATED])
+    def test_unpenalized_inverse_diagonal_is_iteration_one(self, mode):
+        # b starts at 0, so iteration 1 solves with X'X itself: its inverse
+        # diagonal is the one the truncation needs, bit for bit.
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40, 5))
+        y = x[:, 0] * 2 + rng.standard_normal(40)
+        gs = build_gram(RegressionProblem(design=x, response=y))
+        est = fit_gram(gs, 40, GagaConfig(variance_mode=mode, record_trace=True))
+        zeros = np.zeros(5)
+        _, unpenalized = spd_solve_with_inverse_diagonal(gs.gram, zeros, zeros)
+        assert gs.gram.ndim == 2
+        assert np.array_equal(est.trace[0].inv_diag, unpenalized)
+
+    def test_fit_truncates_with_iteration_one_inverse_diagonal(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((40, 6))
+        y = x[:, :2] @ np.array([3.0, -2.0]) + rng.standard_normal(40)
+        gs = build_gram(RegressionProblem(design=x, response=y))
+        est = fit_gram(gs, 40, GagaConfig(record_trace=True))
+        beta, inv_diag = spd_solve_with_inverse_diagonal(gs.gram, est.tuning, gs.cross)
+        ref = hard_truncate(beta, est.tuning, 1.0, est.trace[0].inv_diag, inv_diag)
+        assert np.array_equal(est.coefficients, ref.coefficients)
+        assert np.array_equal(est.support, ref.support)
 
 
 class TestGagaFit:
@@ -218,11 +240,10 @@ class TestGagaFit:
 
     def test_p_greater_than_n_raises(self):
         # b starts at 0, so the very first system is the singular X'X itself
-        from gaga import SingularSystem
         rng = np.random.default_rng(8)
         x = rng.standard_normal((5, 9))
         y = rng.standard_normal(5)
-        with pytest.raises((SingularGram, SingularSystem)):
+        with pytest.raises(SingularSystem):
             gaga_fit(RegressionProblem(design=x, response=y), GagaConfig())
 
     def test_estimated_variance_recovers_noise_scale(self):
