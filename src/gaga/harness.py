@@ -296,11 +296,12 @@ def validate_theorems(n, replicates, beta_star, sigma_star, config=None,
         tuning_errors.extend(np.abs(est.tuning[nonzero_mask] - limits))
     zero_total = int(np.sum(zero_mask)) * replicates
     nonzero_total = int(np.sum(nonzero_mask)) * replicates
+    # A rate over an empty class of coefficients was not measured: nan, not 0.
     return TheoremValidationReport(
-        truncation_rate_zero_coef=(zero_truncated / zero_total) if zero_total else 0.0,
-        retention_rate_nonzero_coef=(nonzero_retained / nonzero_total) if nonzero_total else 0.0,
-        normality_statistic=ks_distance(standardized) if standardized else 0.0,
-        tuning_limit_error=float(np.median(tuning_errors)) if tuning_errors else 0.0,
+        truncation_rate_zero_coef=(zero_truncated / zero_total) if zero_total else math.nan,
+        retention_rate_nonzero_coef=(nonzero_retained / nonzero_total) if nonzero_total else math.nan,
+        normality_statistic=ks_distance(standardized) if standardized else math.nan,
+        tuning_limit_error=float(np.median(tuning_errors)) if tuning_errors else math.nan,
         sample_size=int(n),
         replicates=int(replicates),
         zero_positions=zero_total,

@@ -66,8 +66,11 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
             raise SingularSystem(pivot=int(bad[0]))
         return rhs / diag, 1.0 / diag
 
-    a = gram + np.diag(penalty_diag)
-    c, info = lapack.dpotrf(a, lower=1, overwrite_a=0)
+    # One Fortran-order copy, factorized and inverted in place: the caller's
+    # gram is never written.
+    a = np.array(gram, order="F")
+    a[np.diag_indices(p)] += penalty_diag
+    c, info = lapack.dpotrf(a, lower=1, overwrite_a=1)
     if info > 0:
         raise SingularSystem(pivot=int(info) - 1)
     if info < 0:
@@ -82,7 +85,7 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
         raise SingularSystem(pivot=p - 1, message="triangular solve failed")
     if not inverse:
         return sol[:, 0], None
-    linv, info = lapack.dtrtri(c, lower=1)
+    linv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SingularSystem(pivot=int(info) - 1, message="triangular inversion failed")
     inv_diag = np.einsum("ij,ij->j", linv, linv)

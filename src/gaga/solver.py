@@ -21,6 +21,13 @@ from .types import (
 )
 
 
+# A weight above FREEZE_RATIO * max diag(X'X) has diverged: its coordinate
+# leaves the factorization (see ``gaga_step``). Dropping its coupling moves
+# beta and D by a relative amount of order 1/FREEZE_RATIO: 1e6 moved the
+# final coefficients of n=100 fits by up to 7e-8, 1e8 by under 1e-9.
+FREEZE_RATIO = 1e8
+
+
 def resolve_tuning_clamp(config: GagaConfig, gram_system: GramSystem) -> float:
     # Uncapped weights on dead coordinates grow geometrically and overflow;
     # anything this large is indistinguishable after truncation.
@@ -67,9 +74,20 @@ def gaga_step(
     n_obs: int,
 ) -> SolverState:
     """Advance one iteration: solve for the signal under the incoming penalties,
-    then refresh penalties and (optionally) the noise variance."""
-    beta, inv_diag = spd_solve_with_inverse_diagonal(
-        gram_system.gram, state.tuning, gram_system.cross)
+    then refresh penalties and (optionally) the noise variance.
+
+    On a matrix gram, coordinates whose incoming weight is above
+    FREEZE_RATIO * max diag(X'X) are frozen: the kernel factorizes only the
+    active block A, and each frozen j gets beta_j = (c_j - G_jA beta_A) /
+    (G_jj + b_j) and D_jj = 1 / (G_jj + b_j). The frozen set is recomputed
+    from the weights of every step, so a weight back under the bound rejoins
+    the factorization."""
+    gram, cross, tuning = gram_system.gram, gram_system.cross, state.tuning
+    frozen = tuning > FREEZE_RATIO * np.max(gram_system.diagonal)
+    if gram.ndim == 1 or not frozen.any():
+        beta, inv_diag = spd_solve_with_inverse_diagonal(gram, tuning, cross)
+    else:
+        beta, inv_diag = _active_set_solve(gram, tuning, cross, frozen)
     new_tuning = np.minimum(
         resolve_tuning_clamp(config, gram_system),
         config.alpha / (beta * beta / state.variance + inv_diag),
@@ -92,6 +110,17 @@ def gaga_step(
         variance=var,
         variance_floored=floored,
     )
+
+
+def _active_set_solve(gram, tuning, cross, frozen):
+    active, dead = np.flatnonzero(~frozen), np.flatnonzero(frozen)
+    beta, inv_diag = np.zeros(gram.shape[0]), np.empty(gram.shape[0])
+    if active.size:  # the kernel cannot factorize an empty block
+        beta[active], inv_diag[active] = spd_solve_with_inverse_diagonal(
+            gram[np.ix_(active, active)], tuning[active], cross[active])
+    inv_diag[dead] = 1.0 / (np.diagonal(gram)[dead] + tuning[dead])
+    beta[dead] = (cross[dead] - gram[np.ix_(dead, active)] @ beta[active]) * inv_diag[dead]
+    return beta, inv_diag
 
 
 def hard_truncate(

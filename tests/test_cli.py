@@ -201,6 +201,15 @@ class TestValidate:
                      "--sigma-star", "1.0,1.0"]) == 1
         single_error_line(capsys)
 
+    def test_rates_over_an_empty_class_are_nan(self, capsys):
+        # no zero coefficient: nothing can be truncated, so no rate is measured
+        assert main(["validate", "--n", "100", "--replicates", "2",
+                     "--beta-star", "1,2", "--sigma-star", "1,1"]) == 0
+        report = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert report["truncation_rate_zero_coef"] == "nan"
+        assert report["zero_positions"] == "0"
+        assert 0.0 <= float(report["retention_rate_nonzero_coef"]) <= 1.0
+
     def test_zero_replicates_fails(self, capsys):
         # no replicate means no measured rate, not rates of 0.0
         assert main(["validate", "--n", "100", "--replicates", "0",

@@ -8,6 +8,7 @@ the traced kernel fails the kernel-call equalities.
 """
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +37,8 @@ def _problem(n=60, p=20):
     return RegressionProblem(design=x, response=x @ beta + rng.standard_normal(n))
 
 
-def _traced_calls(fit):
-    """Span call counts of one fit of ``_problem`` with K iterations."""
+def _traced(fit):
+    """The tracer after one fit of ``_problem`` with K iterations."""
     problem = _problem()
     tracer = _load_layers().Tracer()
     tracer.install()
@@ -47,19 +48,40 @@ def _traced_calls(fit):
         tracer.uninstall()
     assert est.support.any()
     assert not tracer.absent
-    return tracer.calls
+    return tracer
 
 
 def test_plain_fit_counts():
-    calls = _traced_calls(gaga.solver.gaga_fit)
+    tracer = _traced(gaga.solver.gaga_fit)
+    calls = tracer.calls
     assert calls["linalg.kernel"] == K + 1  # K iterations and the final solve
     assert calls["linalg.lapack.dpotrf"] <= K + 1
     assert calls["linalg.lapack.dtrtri"] <= K + 1
     assert calls["linalg.diag_check"] == 1
+    # Textbook LAPACK flops: K + 1 full p x p solves would cost 312,800.
+    # Coordinates whose weight diverged leave the factorization.
+    p = _problem().p
+    full_system = (K + 1) * (2 * p ** 3 / 3 + 2 * p * p)
+    assert tracer.count["linalg_flop"] <= 180_307 < full_system
+
+
+def test_plain_fit_peak_memory():
+    # tracemalloc sees numpy's allocations; a warm-up fit keeps one-time
+    # allocations out of the peak. About 5.34 p x p: a 60x20 fit is mostly
+    # small arrays, the kernel's one in-place copy and the active sub-gram.
+    problem = _problem()
+    gaga.solver.gaga_fit(problem, GagaConfig(iterations=K))
+    tracemalloc.start()
+    try:
+        gaga.solver.gaga_fit(problem, GagaConfig(iterations=K))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * problem.p ** 2) <= 5.4
 
 
 def test_qr_fit_counts():
-    calls = _traced_calls(gaga.qr.gaga_qr_fit)
+    calls = _traced(gaga.qr.gaga_qr_fit).calls
     assert calls["linalg.kernel"] == K + 2  # the OLS ordering, K iterations, final
     assert calls["linalg.lapack.dpotrf"] <= 1
     assert calls["linalg.lapack.dtrtri"] == 0

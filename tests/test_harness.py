@@ -190,6 +190,15 @@ class TestValidateTheorems:
         assert rep.retention_rate_nonzero_coef >= 0.9
         assert rep.truncation_rate_zero_coef >= 0.9
 
+    def test_all_zero_signal_has_no_nonzero_rates(self):
+        rep = validate_theorems(n=50, replicates=3, beta_star=[0.0, 0.0],
+                                sigma_star=[1.0, 1.0])
+        assert rep.nonzero_positions == 0
+        assert math.isnan(rep.retention_rate_nonzero_coef)
+        assert math.isnan(rep.normality_statistic)
+        assert math.isnan(rep.tuning_limit_error)
+        assert 0.0 <= rep.truncation_rate_zero_coef <= 1.0
+
     def test_deterministic(self):
         a = validate_theorems(50, 5, [2.0, 0.0], [1.0, 1.0])
         b = validate_theorems(50, 5, [2.0, 0.0], [1.0, 1.0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from gaga import GramSystem, InvalidInput, RegressionProblem, SingularSystem, build_gram
 from gaga.datagen import gen_model1
@@ -100,6 +101,25 @@ class TestSpdSolve:
         resid = np.linalg.norm((g + np.diag(b)) @ sol - rhs)
         assert resid <= 1e-8 * np.linalg.norm(rhs)
         assert np.all(d > 0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_place_factorization_matches_out_of_place(self, order):
+        # The kernel factorizes and inverts one Fortran-order copy in place.
+        # Its output equals the out-of-place LAPACK sequence on
+        # gram + diag(penalty) bit for bit, and the caller's gram is unchanged.
+        rng = np.random.default_rng(21)
+        g = np.asarray(random_spd(rng, 40), order=order)
+        kept = g.copy()
+        b = rng.uniform(0, 5, 40)
+        b[::3] = 0.0
+        rhs = rng.standard_normal(40)
+        sol, d = spd_solve_with_inverse_diagonal(g, b, rhs)
+        c, _ = lapack.dpotrf(g + np.diag(b), lower=1)
+        ref_sol, _ = lapack.dpotrs(c, rhs[:, None], lower=1)
+        linv, _ = lapack.dtrtri(c, lower=1)
+        assert np.array_equal(sol, ref_sol[:, 0])
+        assert np.array_equal(d, np.einsum("ij,ij->j", linv, linv))
+        assert np.array_equal(g, kept)
 
     def test_non_pd_reports_pivot(self):
         g = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
