@@ -24,7 +24,7 @@ from .types import (
 # A weight above FREEZE_RATIO * max diag(X'X) has diverged: its coordinate
 # leaves the factorization (see ``gaga_step``). Dropping its coupling moves
 # beta and D by a relative amount of order 1/FREEZE_RATIO: 1e6 moved the
-# final coefficients of n=100 fits by up to 7e-8, 1e8 by under 1e-9.
+# final coefficients of n <= 150 fits by up to 7e-8, 1e8 by under 1e-9.
 FREEZE_RATIO = 1e8
 
 
