@@ -24,7 +24,7 @@ from .fixed_point import (
 )
 from .linalg import build_gram, spd_solve_with_inverse_diagonal
 from .metrics import EvaluationReport, acc, err
-from .qr import QrPlan, gaga_qr_fit, plan_qr
+from .qr import gaga_qr_fit
 from .solver import (
     estimate_variance_em,
     gaga_fit,
@@ -48,7 +48,7 @@ __all__ = [
     "SolverState", "FIXED", "ESTIMATED",
     "gaga_fit", "gaga_step", "hard_truncate",
     "estimate_variance_em",
-    "gaga_qr_fit", "plan_qr", "QrPlan",
+    "gaga_qr_fit",
     "build_gram", "spd_solve_with_inverse_diagonal",
     "ScalarRegime", "map_value", "convergence_threshold",
     "closed_form_fixed_point", "classify_trajectory", "asymptotic_tuning_limit",

@@ -6,12 +6,8 @@ The fit path never forms Q. It takes R as the upper Cholesky factor of the
 permuted gram P'X'XP and Q'y as R^-T P'X'y (CholeskyQR), so after the gram is
 built the design is not touched again. The price is the accuracy of the
 normal equations, as in ``gaga_fit``: R and Q'y are good to about
-cond(X)^2 * eps, where a Householder QR of X gets cond(X) * eps. ``plan_qr``
-computes a Householder QR of the permuted design for callers that want the
-factors themselves.
+cond(X)^2 * eps, where a Householder QR of X gets cond(X) * eps.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -20,16 +16,6 @@ from .errors import InvalidInput, RankDeficient, SingularSystem
 from .linalg import build_gram, default_rank_tolerance, spd_solve_with_inverse_diagonal
 from .solver import fit_gram
 from .types import GagaConfig, GramSystem, RegressionProblem, SignalEstimate
-
-
-@dataclass(frozen=True)
-class QrPlan:
-    """Column ordering plus sign-fixed thin QR of the reordered design."""
-
-    permutation: np.ndarray
-    q_factor: np.ndarray
-    r_factor: np.ndarray
-    ols: np.ndarray
 
 
 def _ols_permutation(problem: RegressionProblem):
@@ -43,25 +29,7 @@ def _ols_permutation(problem: RegressionProblem):
         raise RankDeficient(pivot=exc.pivot) from exc
     # Stable sort keeps original order on |ols| ties.
     perm = np.argsort(-np.abs(ols), kind="stable")
-    return gs, ols, perm, default_rank_tolerance(np.abs(gs.diagonal))
-
-
-def _check_rank(r_diag, rank_tolerance):
-    small = np.flatnonzero(r_diag * r_diag <= rank_tolerance)
-    if small.size:
-        raise RankDeficient(pivot=int(small[0]))
-
-
-def plan_qr(problem: RegressionProblem) -> QrPlan:
-    """Least-squares estimate, magnitude ordering, and sign-fixed thin QR."""
-    _, ols, perm, rank_tolerance = _ols_permutation(problem)
-    x_new = problem.design[:, perm]
-    q, r = np.linalg.qr(x_new, mode="reduced")
-    signs = np.where(np.diagonal(r) < 0, -1.0, 1.0)
-    q = q * signs
-    r = signs[:, None] * r
-    _check_rank(np.diagonal(r), rank_tolerance)
-    return QrPlan(permutation=perm, q_factor=q, r_factor=r, ols=ols)
+    return gs, perm, default_rank_tolerance(np.abs(gs.diagonal))
 
 
 def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
@@ -78,7 +46,10 @@ def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
         raise RankDeficient(pivot=int(info) - 1)
     if info < 0:
         raise InvalidInput(f"illegal argument {-info} to dpotrf")
-    _check_rank(np.diagonal(r), rank_tolerance)
+    pivots = np.diagonal(r)
+    small = np.flatnonzero(pivots * pivots <= rank_tolerance)
+    if small.size:
+        raise RankDeficient(pivot=int(small[0]))
     qty, info = lapack.dtrtrs(r, gram_system.cross[perm], lower=0, trans=1)
     if info != 0:
         raise InvalidInput(f"triangular solve for Q'y failed (info={info})")
@@ -97,7 +68,7 @@ def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = None) -> Signal
     """
     if config is None:
         config = GagaConfig()
-    gs, _, perm, rank_tolerance = _ols_permutation(problem)
+    gs, perm, rank_tolerance = _ols_permutation(problem)
     p = problem.p
     r_factor, qty = _cholesky_qr(gs, perm, rank_tolerance)
     inner = GramSystem(

@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 
+from .errors import InvalidInput
 from .linalg import build_gram, spd_solve_with_inverse_diagonal
 from .types import (
     ESTIMATED,
@@ -31,7 +32,13 @@ FREEZE_RATIO = 1e8
 def resolve_tuning_clamp(config: GagaConfig, gram_system: GramSystem) -> float:
     # Uncapped weights on dead coordinates grow geometrically and overflow;
     # anything this large is indistinguishable after truncation.
-    return 1e12 * float(np.max(gram_system.diagonal))
+    scale = float(np.max(gram_system.diagonal))
+    clamp = 1e12 * scale
+    if not np.isfinite(clamp):
+        raise InvalidInput(
+            f"max diag(X'X) = {scale:.3g} is too large: the weight clamp "
+            "1e12 * max diag(X'X) overflows; rescale the design")
+    return clamp
 
 
 def variance_floor(gram_system: GramSystem, n_obs: int) -> float:
@@ -83,13 +90,14 @@ def gaga_step(
     from the weights of every step, so a weight back under the bound rejoins
     the factorization."""
     gram, cross, tuning = gram_system.gram, gram_system.cross, state.tuning
+    clamp = resolve_tuning_clamp(config, gram_system)
     frozen = tuning > FREEZE_RATIO * np.max(gram_system.diagonal)
     if gram.ndim == 1 or not frozen.any():
         beta, inv_diag = spd_solve_with_inverse_diagonal(gram, tuning, cross)
     else:
         beta, inv_diag = _active_set_solve(gram, tuning, cross, frozen)
     new_tuning = np.minimum(
-        resolve_tuning_clamp(config, gram_system),
+        clamp,
         config.alpha / (beta * beta / state.variance + inv_diag),
     )
     floored = False

@@ -92,6 +92,9 @@ class SignalEstimate:
         tun = _as_1d(self.tuning, "tuning")
         if not (coef.shape == sup.shape == tun.shape):
             raise DimensionError("coefficients/support/tuning length mismatch")
+        if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(tun))
+                and np.isfinite(self.estimated_variance)):
+            raise InvalidInput("coefficients, tuning and variance must be finite")
         if np.any(coef[~sup] != 0.0):
             raise InvalidInput("coefficients outside the support must be exactly zero")
         if np.any(tun < 0):
@@ -116,8 +119,17 @@ class GramSystem:
     def __post_init__(self):
         from . import linalg  # linalg imports this module
 
-        if self.gram.ndim == 2 and linalg.is_diagonal(self.gram):
-            object.__setattr__(self, "gram", np.diagonal(self.gram).copy())
+        gram = np.asarray(self.gram, dtype=float)
+        cross = np.asarray(self.cross, dtype=float)
+        p = gram.shape[0] if gram.ndim else 0
+        if not (gram.ndim == 1 or gram.shape == (p, p)) or cross.shape != (p,):
+            raise DimensionError(
+                f"need a length-p or p x p gram and a length-p cross, got shapes "
+                f"{gram.shape} and {cross.shape}")
+        if gram.ndim == 2 and linalg.is_diagonal(gram):
+            gram = np.diagonal(gram).copy()
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "cross", cross)
 
     @property
     def p(self) -> int:

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from gaga import GramSystem, InvalidInput, RegressionProblem, SingularSystem, build_gram
+from gaga import (
+    DimensionError,
+    GramSystem,
+    InvalidInput,
+    RegressionProblem,
+    SingularSystem,
+    build_gram,
+)
 from gaga.datagen import gen_model1
 from gaga.linalg import inverse_diagonal, is_diagonal, spd_solve_with_inverse_diagonal
 
@@ -57,6 +64,22 @@ class TestBuildGram:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInput):
             RegressionProblem(design=np.array([[np.nan]]), response=np.array([1.0]))
+
+    def test_gram_system_converts_sequences(self):
+        gs = GramSystem(gram=[[2.0, 1.0], [1.0, 3.0]], cross=[1, 2], response_sq_norm=5.0)
+        assert gs.gram.dtype == float and gs.gram.shape == (2, 2)
+        assert gs.cross.dtype == float and gs.p == 2
+
+    @pytest.mark.parametrize("gram, cross", [
+        (np.ones((2, 3)), np.zeros(2)),  # not square
+        (np.ones((2, 2, 2)), np.zeros(2)),
+        (np.float64(2.0), np.zeros(1)),
+        (np.eye(3), np.zeros(2)),  # cross of the wrong length
+        (np.ones(3), np.zeros((3, 1))),
+    ])
+    def test_gram_system_rejects_malformed_shapes(self, gram, cross):
+        with pytest.raises(DimensionError):
+            GramSystem(gram=gram, cross=cross, response_sq_norm=1.0)
 
 
 class TestSpdSolve:

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import solve_triangular
 
 import gaga.linalg
+import oracle
 from gaga import (
     GagaConfig,
     GramSystem,
@@ -10,10 +11,10 @@ from gaga import (
     RegressionProblem,
     gaga_fit,
     gaga_qr_fit,
-    plan_qr,
 )
 from gaga.datagen import correlated_gaussian_rows
 from gaga.metrics import acc
+from gaga.qr import _ols_permutation
 from gaga.solver import fit_gram
 
 
@@ -24,10 +25,20 @@ def orthonormal_problem():
     return RegressionProblem(design=x, response=y)
 
 
+def ols_permutation(problem):
+    _, perm, _ = _ols_permutation(problem)
+    return perm
+
+
 class TestPlanQr:
+    """The column plan of the QR variant: the package's ordering by |OLS|,
+    and the Householder factors of the permuted design that the oracle
+    (``tests/oracle.py``) fits with."""
+
     def test_identity_permutation_orthonormal(self):
         pr = orthonormal_problem()
-        plan = plan_qr(pr)
+        assert np.array_equal(ols_permutation(pr), np.arange(4))
+        plan = oracle.plan_qr(pr)
         assert np.array_equal(plan.permutation, np.arange(4))
         assert np.allclose(plan.q_factor, pr.design, atol=1e-12)
         assert np.allclose(plan.r_factor, np.eye(4), atol=1e-12)
@@ -37,23 +48,25 @@ class TestPlanQr:
         q, _ = np.linalg.qr(rng.standard_normal((30, 3)))
         gamma = np.array([-3.0, 1.0, 2.0])
         pr = RegressionProblem(design=q, response=q @ gamma)
-        plan = plan_qr(pr)
-        assert np.array_equal(plan.permutation, [0, 2, 1])
-        assert np.allclose(plan.ols, gamma, atol=1e-10)
+        assert np.array_equal(ols_permutation(pr), [0, 2, 1])
+        assert np.allclose(oracle.plan_qr(pr).ols, gamma, atol=1e-10)
 
     def test_stable_tie_break(self):
         # exact ties need an exact design: identity columns give ols == cross
         x = np.eye(5)[:, :3]
         y = np.array([2.0, -2.0, 1.0, 0.0, 0.0])
-        plan = plan_qr(RegressionProblem(design=x, response=y))
-        assert np.array_equal(plan.permutation, [0, 1, 2])
+        pr = RegressionProblem(design=x, response=y)
+        assert np.array_equal(ols_permutation(pr), [0, 1, 2])
+        assert np.array_equal(oracle.plan_qr(pr).permutation, [0, 1, 2])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_reconstruction(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((40, 6))
         y = rng.standard_normal(40)
-        plan = plan_qr(RegressionProblem(design=x, response=y))
+        pr = RegressionProblem(design=x, response=y)
+        plan = oracle.plan_qr(pr)
+        assert np.array_equal(plan.permutation, ols_permutation(pr))
         x_new = x[:, plan.permutation]
         assert np.allclose(plan.q_factor @ plan.r_factor, x_new, atol=1e-10)
         assert np.allclose(plan.q_factor.T @ plan.q_factor, np.eye(6), atol=1e-10)
@@ -66,16 +79,17 @@ class TestPlanQr:
     def test_rank_deficient(self):
         x = np.ones((10, 2))  # duplicated column
         with pytest.raises(RankDeficient):
-            plan_qr(RegressionProblem(design=x, response=np.arange(10.0)))
+            _ols_permutation(RegressionProblem(design=x, response=np.arange(10.0)))
 
     def test_permutation_round_trip(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((25, 5))
         y = rng.standard_normal(25)
-        plan = plan_qr(RegressionProblem(design=x, response=y))
+        perm = ols_permutation(RegressionProblem(design=x, response=y))
+        assert np.array_equal(np.sort(perm), np.arange(5))
         v = rng.standard_normal(5)
         out = np.empty(5)
-        out[plan.permutation] = v[plan.permutation]
+        out[perm] = v[perm]
         assert np.array_equal(out, v)
 
 
@@ -104,7 +118,7 @@ class TestGagaQrFit:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((50, 6))
         y = rng.standard_normal(50)
-        plan = plan_qr(RegressionProblem(design=x, response=y))
+        plan = oracle.plan_qr(RegressionProblem(design=x, response=y))
         assert np.abs(plan.q_factor.T @ plan.q_factor - np.eye(6)).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", range(3))
@@ -147,18 +161,8 @@ def equicorrelated_problem(seed, n=200, p=20, rho=0.5, collinear=0.0):
 
 
 def householder_reference(problem, config):
-    """The QR variant computed from plan_qr's explicit Householder factors:
-    the solver on an identity gram with cross Q'y, then back-substitution."""
-    plan = plan_qr(problem)
-    y = problem.response
-    inner = GramSystem(gram=np.eye(problem.p), cross=plan.q_factor.T @ y,
-                       response_sq_norm=float(y @ y))
-    theta = fit_gram(inner, problem.n, config)
-    beta_new = solve_triangular(plan.r_factor, theta.coefficients, lower=False)
-    beta_new[np.abs(beta_new) <= 1e-12 * np.max(np.abs(beta_new), initial=0.0)] = 0.0
-    coef = np.empty(problem.p)
-    coef[plan.permutation] = beta_new
-    return coef
+    """The QR variant computed by the oracle from explicit Householder factors."""
+    return oracle.qr_fit(problem, config).coefficients
 
 
 class TestCholeskyQr:

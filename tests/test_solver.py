@@ -5,6 +5,7 @@ from gaga import (
     ESTIMATED,
     FIXED,
     GagaConfig,
+    GagaError,
     GramSystem,
     InvalidInput,
     RegressionProblem,
@@ -13,6 +14,7 @@ from gaga import (
     build_gram,
     estimate_variance_em,
     gaga_fit,
+    gaga_qr_fit,
     gaga_step,
     hard_truncate,
     spd_solve_with_inverse_diagonal,
@@ -352,6 +354,39 @@ class TestGagaFit:
         assert est.estimated_variance == pytest.approx(4.0, rel=0.3)
 
 
+def huge_scale_problem(scale):
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((50, 5))
+    y = x @ np.array([1.0, 2.0, 0.0, 0.0, 3.0]) + rng.standard_normal(50)
+    return RegressionProblem(design=x * scale, response=y)
+
+
+class TestWeightClampOverflow:
+    """At max diag(X'X) >~ 1e297 the clamp 1e12 * max diag(X'X) is inf, and
+    a fit would run its weights to inf (and 0 * inf = nan in the EM step)."""
+
+    @pytest.mark.parametrize("scale", [1e148, 1e150])
+    @pytest.mark.parametrize("mode", [FIXED, ESTIMATED])
+    def test_plain_fit_raises_typed_error(self, scale, mode):
+        with pytest.raises(GagaError, match=r"max diag\(X'X\)"):
+            gaga_fit(huge_scale_problem(scale), GagaConfig(variance_mode=mode))
+
+    def test_clamp_names_the_gram_scale(self):
+        gs = build_gram(huge_scale_problem(1e150))
+        with pytest.raises(InvalidInput, match=r"6\.89e\+301"):
+            solver.resolve_tuning_clamp(GagaConfig(), gs)
+
+    @pytest.mark.parametrize("scale", [1e148, 1e150])
+    @pytest.mark.parametrize("mode", [FIXED, ESTIMATED])
+    def test_qr_fit_unaffected(self, scale, mode):
+        # its inner gram is the unit vector, so its clamp is 1e12
+        est = gaga_qr_fit(huge_scale_problem(scale), GagaConfig(variance_mode=mode))
+        assert np.array_equal(est.support, [True, True, False, False, True])
+        assert np.all(np.isfinite(est.tuning)) and np.isfinite(est.estimated_variance)
+        unscaled = gaga_qr_fit(huge_scale_problem(1.0), GagaConfig(variance_mode=mode))
+        assert np.allclose(est.coefficients * scale, unscaled.coefficients, rtol=1e-12)
+
+
 class TestConfigValidation:
     def test_alpha_must_exceed_one(self):
         with pytest.raises(InvalidInput):
@@ -369,3 +404,15 @@ class TestConfigValidation:
         with pytest.raises(InvalidInput):
             SignalEstimate(coefficients=np.array([1.0]), support=np.array([False]),
                            tuning=np.array([0.0]), estimated_variance=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("coefficients", np.array([np.nan, 0.0])),
+        ("tuning", np.array([1.0, np.inf])),
+        ("estimated_variance", np.nan),
+    ])
+    def test_nonfinite_estimate_rejected(self, field, value):
+        fields = dict(coefficients=np.array([1.0, 0.0]), support=np.array([True, False]),
+                      tuning=np.array([1.0, 2.0]), estimated_variance=1.0)
+        fields[field] = value
+        with pytest.raises(InvalidInput):
+            SignalEstimate(**fields)
