@@ -32,7 +32,7 @@ FREEZE_RATIO = 1e8
 def resolve_tuning_clamp(config: GagaConfig, gram_system: GramSystem) -> float:
     # Uncapped weights on dead coordinates grow geometrically and overflow;
     # anything this large is indistinguishable after truncation.
-    scale = float(np.max(gram_system.diagonal))
+    scale = gram_system.max_diagonal
     clamp = 1e12 * scale
     if not np.isfinite(clamp):
         raise InvalidInput(
@@ -91,15 +91,17 @@ def gaga_step(
     the factorization."""
     gram, cross, tuning = gram_system.gram, gram_system.cross, state.tuning
     clamp = resolve_tuning_clamp(config, gram_system)
-    frozen = tuning > FREEZE_RATIO * np.max(gram_system.diagonal)
+    frozen = tuning > FREEZE_RATIO * gram_system.max_diagonal
     if gram.ndim == 1 or not frozen.any():
         beta, inv_diag = spd_solve_with_inverse_diagonal(gram, tuning, cross)
     else:
         beta, inv_diag = _active_set_solve(gram, tuning, cross, frozen)
-    new_tuning = np.minimum(
-        clamp,
-        config.alpha / (beta * beta / state.variance + inv_diag),
-    )
+    # A dead weight's update can overflow to inf; the clamp caps it.
+    with np.errstate(over="ignore"):
+        new_tuning = np.minimum(
+            clamp,
+            config.alpha / (beta * beta / state.variance + inv_diag),
+        )
     floored = False
     if config.variance_mode == ESTIMATED:
         interim = dataclasses.replace(state, beta=beta, inv_diag=inv_diag)

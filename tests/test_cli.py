@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,30 @@ class TestFit:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "error kind=InvalidInput" in capsys.readouterr().err
+
+    @staticmethod
+    def _fit_scaled_design(tmp_path, scale):
+        """Run ``gaga fit`` on a 50x5 design scaled by ``scale``, with every
+        warning turned into an error."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((50, 5))
+        y = x @ np.array([1.0, 0.0, 2.0, 0.0, 0.0]) + rng.standard_normal(50)
+        xpath, ypath = tmp_path / "x.csv", tmp_path / "y.csv"
+        np.savetxt(xpath, x * scale, delimiter=",")
+        np.savetxt(ypath, y, delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(["fit", "--design", str(xpath), "--response", str(ypath),
+                         "--out", str(tmp_path / "o.csv")])
+
+    def test_huge_design_fits_silently(self, tmp_path, capsys):
+        # The dead weights' update overflows to inf before the clamp caps it.
+        assert self._fit_scaled_design(tmp_path, 1.5e147) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_overflowing_gram_is_invalid_input(self, tmp_path, capsys):
+        assert self._fit_scaled_design(tmp_path, 1e155) == 1
+        assert "overflows" in single_error_line(capsys)
 
 
 class TestExperiment:

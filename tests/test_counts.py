@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 import gaga.cli  # with it, every module the tracer targets is loaded
+import gaga.linalg
 import gaga.qr
 import gaga.solver
 from gaga import GagaConfig, RegressionProblem
@@ -65,11 +66,10 @@ def test_plain_fit_counts():
     assert tracer.count["linalg_flop"] <= 180_307 < full_system
 
 
-def test_plain_fit_peak_memory():
-    # tracemalloc sees numpy's allocations; a warm-up fit keeps one-time
-    # allocations out of the peak. About 5.34 p x p: a 60x20 fit is mostly
-    # small arrays, the kernel's one in-place copy and the active sub-gram.
-    problem = _problem()
+def _peak_per_gram(problem):
+    """tracemalloc's peak during one fit, in units of a p x p float array.
+    tracemalloc sees numpy's allocations; a warm-up fit keeps one-time
+    allocations out of the peak."""
     gaga.solver.gaga_fit(problem, GagaConfig(iterations=K))
     tracemalloc.start()
     try:
@@ -77,7 +77,22 @@ def test_plain_fit_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (8 * problem.p ** 2) <= 5.4
+    return peak / (8 * problem.p ** 2)
+
+
+def test_plain_fit_peak_memory():
+    # About 5.34 p x p: a 60x20 fit is mostly small arrays, the kernel's one
+    # in-place copy and the active sub-gram.
+    assert _peak_per_gram(_problem()) <= 5.4
+
+
+def test_plain_fit_peak_memory_above_block():
+    # About 2.39 p x p at p = 256, where p x p arrays dominate: the gram, the
+    # kernel's three quadrant copies (one p x p in all) and the smaller
+    # copies of its recursion. The unblocked kernel's peak was 2.57.
+    problem = _problem(n=400, p=256)
+    assert problem.p > gaga.linalg.BLOCK
+    assert _peak_per_gram(problem) <= 2.4
 
 
 def test_qr_fit_counts():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from gaga import (
     DimensionError,
@@ -10,8 +10,9 @@ from gaga import (
     SingularSystem,
     build_gram,
 )
+import gaga.linalg
 from gaga.datagen import gen_model1
-from gaga.linalg import inverse_diagonal, is_diagonal, spd_solve_with_inverse_diagonal
+from gaga.linalg import BLOCK, inverse_diagonal, is_diagonal, spd_solve_with_inverse_diagonal
 
 
 def random_spd(rng, p):
@@ -127,7 +128,8 @@ class TestSpdSolve:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_in_place_factorization_matches_out_of_place(self, order):
-        # The kernel factorizes and inverts one Fortran-order copy in place.
+        # Up to BLOCK coordinates the kernel factorizes and inverts one
+        # Fortran-order copy in place.
         # Its output equals the out-of-place LAPACK sequence on
         # gram + diag(penalty) bit for bit, and the caller's gram is unchanged.
         rng = np.random.default_rng(21)
@@ -153,6 +155,110 @@ class TestSpdSolve:
     def test_negative_penalty_rejected(self):
         with pytest.raises(InvalidInput):
             spd_solve_with_inverse_diagonal(np.eye(2), np.array([-1.0, 0.0]), np.ones(2))
+
+
+class TestInverseFactorRecursion:
+    """Above BLOCK coordinates the kernel builds W = L^-1 by block recursion."""
+
+    @pytest.fixture
+    def dtrmm_calls(self, monkeypatch):
+        # Count the recursion's BLAS-3 calls, so a silent fallback to the
+        # unblocked path cannot pass these tests.
+        calls = []
+
+        class CountingBlas:
+            def __getattr__(self, name):
+                return getattr(blas, name)
+
+            def dtrmm(self, *args, **kwargs):
+                calls.append(args[1].shape)
+                return blas.dtrmm(*args, **kwargs)
+
+        monkeypatch.setattr(gaga.linalg, "blas", CountingBlas())
+        return calls
+
+    @staticmethod
+    def duplicated_column_gram(p, kept, copied):
+        rng = np.random.default_rng(p + copied)
+        x = rng.standard_normal((p + 40, p))
+        x[:, copied] = x[:, kept]
+        return x.T @ x
+
+    @pytest.mark.parametrize("p", [BLOCK + 1, 300, 513])
+    def test_matches_explicit_inverse(self, p, dtrmm_calls):
+        # 129, 300 and 513 split unevenly at some level of the recursion.
+        rng = np.random.default_rng(p)
+        x = rng.standard_normal((p + 50, p))
+        g = x.T @ x
+        b = rng.uniform(0, 2, p)
+        b[::4] = 0.0
+        rhs = rng.standard_normal(p)
+        sol, d = spd_solve_with_inverse_diagonal(g, b, rhs)
+        full_inv = np.linalg.inv(g + np.diag(b))
+        assert dtrmm_calls
+        assert np.allclose(sol, full_inv @ rhs, atol=0, rtol=1e-10)
+        assert np.allclose(d, np.diagonal(full_inv), atol=0, rtol=1e-10)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gram_left_unwritten(self, order, dtrmm_calls):
+        rng = np.random.default_rng(5)
+        g = np.asarray(random_spd(rng, 300), order=order)
+        kept = g.copy()
+        b, rhs = rng.uniform(0, 5, 300), rng.standard_normal(300)
+        sol, d = spd_solve_with_inverse_diagonal(g, b, rhs)
+        assert dtrmm_calls
+        assert np.array_equal(g, kept)
+        full_inv = np.linalg.inv(g + np.diag(b))
+        assert np.allclose(d, np.diagonal(full_inv), atol=0, rtol=1e-10)
+
+    @pytest.mark.parametrize("p, kept, copied", [
+        (300, 10, 122), (300, 40, 293), (300, 149, 150), (513, 5, 506), (513, 300, 400)])
+    def test_duplicated_column_reports_its_pivot(self, p, kept, copied, dtrmm_calls):
+        # The pivot is that of one Cholesky factorization of the whole system,
+        # in the first half of the split or the second.
+        g = self.duplicated_column_gram(p, kept, copied)
+        for order in ("C", "F"):
+            with pytest.raises(SingularSystem) as exc:
+                spd_solve_with_inverse_diagonal(
+                    np.asarray(g, order=order), np.zeros(p), np.ones(p))
+            assert exc.value.pivot == copied
+        assert dtrmm_calls
+
+    def test_accuracy_matches_unblocked_kernel(self, monkeypatch, dtrmm_calls):
+        # Column scales over 10^2.85 give cond(X'X) of about 5e6. The recursion
+        # is as accurate against inv as one Cholesky factorization of the
+        # whole system (the kernel with BLOCK raised to p).
+        p = 300
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((p + 100, p)) * np.geomspace(1.0, 10 ** 2.85, p)
+        g = x.T @ x
+        assert 3e6 < np.linalg.cond(g) < 1e7
+        rhs = rng.standard_normal(p)
+        full_inv = np.linalg.inv(g)
+        ref_sol, ref_d = full_inv @ rhs, np.diagonal(full_inv)
+
+        def errors():
+            sol, d = spd_solve_with_inverse_diagonal(g, np.zeros(p), rhs)
+            return (np.abs(sol - ref_sol).max() / np.abs(ref_sol).max(),
+                    np.abs(d - ref_d).max() / ref_d.max())
+
+        blocked = errors()
+        assert dtrmm_calls
+        monkeypatch.setattr(gaga.linalg, "BLOCK", p)
+        calls = len(dtrmm_calls)
+        unblocked = errors()
+        assert len(dtrmm_calls) == calls
+        assert max(unblocked) < 1e-12
+        assert blocked[0] <= 1.25 * unblocked[0]
+        assert blocked[1] <= 1.25 * unblocked[1]
+
+    def test_solve_alone_skips_the_recursion(self, dtrmm_calls):
+        rng = np.random.default_rng(8)
+        g = random_spd(rng, 300)
+        rhs = rng.standard_normal(300)
+        sol, d = spd_solve_with_inverse_diagonal(g, np.zeros(300), rhs, inverse=False)
+        assert d is None and not dtrmm_calls
+        assert np.allclose(sol, np.linalg.solve(g, rhs), atol=0, rtol=1e-10)
 
 
 def test_is_diagonal():

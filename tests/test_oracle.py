@@ -1,7 +1,8 @@
 """Both fits against the literal transcription in ``oracle.py``, over random
 shapes (n in [p+5, 200], p in [1, 30]), AR or equicorrelated designs with
 rho in [0, 0.9], optional column scales within 10^+-1.5, and both variance
-modes.
+modes. One fixed plain-fit problem per variance mode at p = 300 reaches the
+kernel's block recursion, which starts above ``gaga.linalg.BLOCK``.
 
 The bounds are the same for every input:
 
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 
 import oracle
 from gaga import ESTIMATED, FIXED, GagaConfig, RegressionProblem, gaga_fit, gaga_qr_fit
+from gaga.linalg import BLOCK
 from gaga.qr import _ols_permutation
 
 PLAIN_TOL = 1e-8
@@ -85,6 +87,19 @@ def _record(fit, mode, gap, near, excused):
 @pytest.mark.parametrize("mode", [FIXED, ESTIMATED])
 @given(problem=problems())
 def test_plain_fit_matches_oracle(mode, problem):
+    _check_plain_fit(mode, problem)
+
+
+@pytest.mark.parametrize("mode", [FIXED, ESTIMATED])
+def test_plain_fit_matches_oracle_above_block(mode):
+    # The random shapes stay far below BLOCK; at p = 300 every full-size
+    # solve of the fit takes the kernel's block recursion.
+    problem = make_problem(np.random.default_rng(300), 400, 300, "ar", 0.6, True)
+    assert problem.p > BLOCK
+    _check_plain_fit(mode, problem)
+
+
+def _check_plain_fit(mode, problem):
     config = GagaConfig(variance_mode=mode)
     got, ref = gaga_fit(problem, config), oracle.fit(problem, config)
     near = ref.relative_margin <= NEAR_TIE
