@@ -25,12 +25,7 @@ from .fixed_point import (
 from .linalg import build_gram, spd_solve_with_inverse_diagonal
 from .metrics import EvaluationReport, acc, err
 from .qr import gaga_qr_fit
-from .solver import (
-    estimate_variance_em,
-    gaga_fit,
-    gaga_step,
-    hard_truncate,
-)
+from .solver import gaga_fit
 from .types import (
     ESTIMATED,
     FIXED,
@@ -46,9 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "RegressionProblem", "GagaConfig", "SignalEstimate", "GramSystem",
     "SolverState", "FIXED", "ESTIMATED",
-    "gaga_fit", "gaga_step", "hard_truncate",
-    "estimate_variance_em",
-    "gaga_qr_fit",
+    "gaga_fit", "gaga_qr_fit",
     "build_gram", "spd_solve_with_inverse_diagonal",
     "ScalarRegime", "map_value", "convergence_threshold",
     "closed_form_fixed_point", "classify_trajectory", "asymptotic_tuning_limit",

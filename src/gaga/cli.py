@@ -46,12 +46,41 @@ def _parse_config_file(path):
     return cfg
 
 
+# The CLI's own default; the library's defaults live in GagaConfig,
+# ExperimentSpec, validate_theorems and benchmark_timing.
+REPLICATES = 100
+
+
+def _record_timing(value):
+    value = value.lower()
+    if value not in ("1", "true", "yes", "0", "false", "no"):
+        raise InvalidInput(f"record_timing must be true or false, got {value!r}")
+    return value in ("1", "true", "yes")
+
+
+# (keyword, parser of a config value, flag dest or None)
+_SOLVER = (("alpha", float, "alpha"), ("iterations", int, "iterations"),
+           ("variance_mode", str, "variance_mode"))
+_REPLICATES = ("replicates", int, "replicates")
+_SEED = ("base_seed", int, "seed")
+_TIMING = ("record_timing", _record_timing, None)
+
+
+def _given(args, cfg, *fields):
+    """The keyword arguments that a flag or, failing that, a config line sets.
+    A value set by neither is left out, so the callee's default applies."""
+    out = {}
+    for key, parse, dest in fields:
+        value = getattr(args, dest) if dest else None
+        if value is None and key in cfg:
+            value = parse(cfg[key])
+        if value is not None:
+            out[key] = value
+    return out
+
+
 def _solver_config(args, cfg=None):
-    cfg = cfg or {}
-    alpha = args.alpha if args.alpha is not None else float(cfg.get("alpha", 2.0))
-    iters = args.iterations if args.iterations is not None else int(cfg.get("iterations", 50))
-    mode = args.variance_mode or cfg.get("variance_mode", "fixed")
-    return GagaConfig(iterations=iters, alpha=alpha, variance_mode=mode)
+    return GagaConfig(**_given(args, cfg or {}, *_SOLVER))
 
 
 def _estimators(names, config):
@@ -101,23 +130,16 @@ def _experiment_spec(args, cfg, need_sizes=False):
         sizes = tuple(int(s) for s in raw_sizes.split(","))
     if need_sizes and not sizes:
         raise InvalidInput("sweep needs sample_sizes in the config")
-    replicates = args.replicates if args.replicates is not None else int(cfg.get("replicates", 100))
-    base_seed = args.seed if args.seed is not None else int(cfg.get("base_seed", 0))
     out = args.out or cfg.get("out")
     if not out:
         raise InvalidInput("no output path (set --out or out= in the config)")
-    record_timing = cfg.get("record_timing", "false").lower()
-    if record_timing not in ("1", "true", "yes", "0", "false", "no"):
-        raise InvalidInput(f"record_timing must be true or false, got {record_timing!r}")
     return ExperimentSpec(
         model=model,
-        replicates=replicates,
         estimators=_estimators(est_names, config),
-        base_seed=base_seed,
         model_params=model_params,
         sample_sizes=sizes,
         output_path=out,
-        record_timing=record_timing in ("1", "true", "yes"),
+        **{"replicates": REPLICATES, **_given(args, cfg, _REPLICATES, _SEED, _TIMING)},
     )
 
 
@@ -138,11 +160,10 @@ def _cmd_validate(args):
     sigma = np.array([float(v) for v in args.sigma_star.split(",")])
     report = harness.validate_theorems(
         n=args.n,
-        replicates=args.replicates if args.replicates is not None else 100,
         beta_star=beta,
         sigma_star=sigma,
         config=_solver_config(args),
-        base_seed=args.seed if args.seed is not None else 0,
+        **{"replicates": REPLICATES, **_given(args, {}, _REPLICATES, _SEED)},
     )
     row = dataclasses.asdict(report)
     if args.out:
@@ -157,8 +178,8 @@ def _cmd_bench(args):
     rows = harness.benchmark_timing(
         dims, n=args.n, repeats=args.repeats,
         config=_solver_config(args),
-        base_seed=args.seed if args.seed is not None else 0,
         output_path=args.out,
+        **_given(args, {}, _SEED),
     )
     for row in rows:
         print(f"p={row['p']} estimator={row['estimator']} mean_s={row['mean_s']:.4f}")
@@ -173,8 +194,16 @@ def _add_solver_flags(sub):
     sub.add_argument("--seed", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ``InvalidInput``, so it takes the one-line
+    error path of every other bad input (subparsers share this class)."""
+
+    def error(self, message):
+        raise InvalidInput(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="gaga", description=__doc__)
+    parser = _Parser(prog="gaga", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_fit = subs.add_parser("fit", help="fit a single problem from CSV")
@@ -214,8 +243,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (GagaError, OSError, ValueError) as exc:
         # A ValueError here comes from parsing the user's input (a malformed

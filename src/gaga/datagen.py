@@ -8,9 +8,7 @@ the others. Per-replicate seeds come from
 ``numpy.random.SeedSequence([base_seed, replicate]).generate_state(1)``.
 """
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -146,38 +144,3 @@ def gen_orthogonal(seed: int, n: int, p: int, beta_true, sigma_star) -> Generate
     x = q * np.sqrt(n * sigma_star)
     return _assemble(seed, ORTHOGONAL, x, beta_true)
 
-
-def save_instance(instance: GeneratedInstance, design_path, meta_path) -> None:
-    """CSV pair: design file with columns x1..xp,y; metadata file with the
-    ground truth, seed and model tag as key=value lines."""
-    x = instance.problem.design
-    y = instance.problem.response
-    p = x.shape[1]
-    with open(design_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j+1}" for j in range(p)] + ["y"])
-        for i in range(x.shape[0]):
-            writer.writerow([repr(float(v)) for v in x[i]] + [repr(float(y[i]))])
-    with open(meta_path, "w") as fh:
-        fh.write(f"model_tag={instance.model_tag}\n")
-        fh.write(f"seed={instance.seed}\n")
-        fh.write(f"n={x.shape[0]}\n")
-        fh.write(f"p={p}\n")
-        fh.write("beta_true=" + ",".join(repr(float(v)) for v in instance.beta_true) + "\n")
-
-
-def load_instance(design_path, meta_path) -> GeneratedInstance:
-    data = np.loadtxt(design_path, delimiter=",", skiprows=1, ndmin=2)
-    meta = {}
-    for line in Path(meta_path).read_text().splitlines():
-        if "=" in line:
-            key, value = line.split("=", 1)
-            meta[key.strip()] = value.strip()
-    beta = np.array([float(v) for v in meta["beta_true"].split(",")])
-    problem = RegressionProblem(design=data[:, :-1], response=data[:, -1])
-    return GeneratedInstance(
-        problem=problem,
-        beta_true=beta,
-        model_tag=meta["model_tag"],
-        seed=int(meta["seed"]),
-    )

@@ -171,24 +171,18 @@ def _run_replicate(spec: ExperimentSpec, replicate: int):
 
 
 def _summary_rows(spec: ExperimentSpec, data_rows):
+    columns = ["err", "acc", "tp", "tn", "fp", "fn"] + (["wall_ms"] if spec.record_timing else [])
     out = []
     for estimator in spec.estimators:
         ok = [r for r in data_rows
               if r["estimator"] == estimator.name and r["status"] == "ok"]
-        for kind in ("mean", "std"):
+        for kind, stat in (("mean", statistics.fmean), ("std", statistics.pstdev)):
             row = dict.fromkeys(CSV_COLUMNS, "")
             row.update(model_tag=spec.model, replicate=kind,
                        estimator=estimator.name, status="summary")
             if ok:
-                for col in ("err", "acc", "tp", "tn", "fp", "fn"):
-                    vals = [float(r[col]) for r in ok]
-                    row[col] = (statistics.fmean(vals) if kind == "mean"
-                                else (statistics.pstdev(vals) if len(vals) > 1 else 0.0))
-                if spec.record_timing:
-                    walls = [float(r["wall_ms"]) for r in ok if r["wall_ms"] != ""]
-                    if walls:
-                        row["wall_ms"] = (statistics.fmean(walls) if kind == "mean"
-                                          else (statistics.pstdev(walls) if len(walls) > 1 else 0.0))
+                for col in columns:
+                    row[col] = stat([float(r[col]) for r in ok])
             out.append(row)
     return out
 

@@ -21,14 +21,10 @@ def _as_1d(v, name):
 
 @dataclass(frozen=True)
 class RegressionProblem:
-    """A dense linear regression instance y = X b + noise.
-
-    ``noise_variance`` is set only when the noise level is known a priori.
-    """
+    """A dense linear regression instance y = X b + noise."""
 
     design: np.ndarray
     response: np.ndarray
-    noise_variance: Optional[float] = None
 
     def __post_init__(self):
         x = np.asarray(self.design, dtype=float)
@@ -42,8 +38,6 @@ class RegressionProblem:
             raise DimensionError(f"response length {y.shape[0]} != row count {n}")
         if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
             raise InvalidInput("design/response contain non-finite entries")
-        if self.noise_variance is not None and not self.noise_variance > 0:
-            raise InvalidInput("noise_variance must be positive when given")
         object.__setattr__(self, "design", x)
         object.__setattr__(self, "response", y)
 

@@ -6,7 +6,7 @@ import pytest
 
 from gaga import GagaConfig, RegressionProblem, gaga_fit
 from gaga.cli import main
-from gaga.datagen import gen_model1, save_instance
+from gaga.datagen import gen_model1
 
 
 def single_error_line(capsys):
@@ -18,10 +18,40 @@ def single_error_line(capsys):
 
 @pytest.fixture
 def saved_instance(tmp_path):
+    """A model1 instance as a design CSV: header x1..xp,y, then one row per
+    observation with every float written by ``repr`` (an exact round trip)."""
     inst = gen_model1(0)
-    dpath, mpath = tmp_path / "design.csv", tmp_path / "meta.txt"
-    save_instance(inst, dpath, mpath)
+    x, y = inst.problem.design, inst.problem.response
+    dpath = tmp_path / "design.csv"
+    with open(dpath, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j + 1}" for j in range(x.shape[1])] + ["y"])
+        writer.writerows([repr(float(v)) for v in row] for row in np.column_stack([x, y]))
     return inst, dpath
+
+
+class TestUsageErrors:
+    FIT = ["fit", "--design", "x.csv", "--out", "y.csv"]
+
+    @pytest.mark.parametrize("argv", [
+        FIT + ["--iterations", "2.5"],
+        FIT + ["--variance-mode", "bogus"],
+        FIT + ["--no-such-flag"],
+        ["fit", "--design", "x.csv"],
+        ["experiment"],
+        ["bogus"],
+        [],
+    ], ids=["bad-int", "bad-choice", "unknown-flag", "missing-out", "missing-config",
+            "unknown-command", "no-command"])
+    def test_one_line_invalid_input(self, capsys, argv):
+        assert main(argv) == 1
+        single_error_line(capsys)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        assert "--design" in capsys.readouterr().out
 
 
 class TestFit:

@@ -9,9 +9,7 @@ from gaga.datagen import (
     gen_model1,
     gen_model2,
     gen_orthogonal,
-    load_instance,
     replicate_seed,
-    save_instance,
     stream_rng,
 )
 
@@ -141,14 +139,3 @@ class TestStreamsAndSeeds:
         b = stream_rng(0, "noise").standard_normal(5)
         assert not np.array_equal(a, b)
 
-
-def test_save_load_round_trip(tmp_path):
-    inst = gen_model1(11)
-    dpath, mpath = tmp_path / "design.csv", tmp_path / "meta.txt"
-    save_instance(inst, dpath, mpath)
-    back = load_instance(dpath, mpath)
-    assert np.array_equal(back.problem.design, inst.problem.design)
-    assert np.array_equal(back.problem.response, inst.problem.response)
-    assert np.array_equal(back.beta_true, inst.beta_true)
-    assert back.model_tag == inst.model_tag
-    assert back.seed == inst.seed

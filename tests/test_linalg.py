@@ -66,6 +66,11 @@ class TestBuildGram:
         with pytest.raises(InvalidInput):
             RegressionProblem(design=np.array([[np.nan]]), response=np.array([1.0]))
 
+    def test_noise_variance_is_not_a_field(self):
+        # Fixed mode fits with unit variance, so a known variance had no effect.
+        with pytest.raises(TypeError):
+            RegressionProblem(design=np.eye(2), response=np.ones(2), noise_variance=1.0)
+
     def test_gram_system_converts_sequences(self):
         gs = GramSystem(gram=[[2.0, 1.0], [1.0, 3.0]], cross=[1, 2], response_sq_norm=5.0)
         assert gs.gram.dtype == float and gs.gram.shape == (2, 2)

@@ -12,15 +12,19 @@ from gaga import (
     SignalEstimate,
     SingularSystem,
     build_gram,
-    estimate_variance_em,
     gaga_fit,
     gaga_qr_fit,
-    gaga_step,
-    hard_truncate,
     spd_solve_with_inverse_diagonal,
 )
 from gaga import solver
-from gaga.solver import FREEZE_RATIO, fit_gram, initial_state
+from gaga.solver import (
+    FREEZE_RATIO,
+    estimate_variance_em,
+    fit_gram,
+    gaga_step,
+    hard_truncate,
+    initial_state,
+)
 from gaga.types import SolverState
 
 
