@@ -7,7 +7,6 @@ machine-readable ``error kind=... detail=...`` line on stderr.
 """
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -20,17 +19,6 @@ from .harness import ExperimentSpec, ExternalEstimates, GagaEstimator
 from .qr import gaga_qr_fit
 from .solver import gaga_fit
 from .types import GagaConfig, RegressionProblem
-
-
-def _load_matrix(path):
-    lines = Path(path).read_text().splitlines()
-    try:
-        [float(v) for v in lines[0].strip().split(",")]
-    except (IndexError, ValueError):
-        lines = lines[1:]  # a header row, or no line at all
-    if not any(line.strip() for line in lines):
-        raise InvalidInput(f"{path} has no data rows")
-    return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
 def _parse_config_file(path):
@@ -92,66 +80,58 @@ def _estimators(names, config):
         elif name == "gaga_qr":
             out.append(GagaEstimator(config=config, name=name, fit=gaga_qr_fit))
         elif name.startswith("external:"):
-            out.append(ExternalEstimates(name.split(":", 1)[1]))
+            out.append(ExternalEstimates(name.split(":", 1)[1], name=name))
         else:
             raise InvalidInput(f"unknown estimator {name!r}")
     return tuple(out)
 
 
+FIT_COLUMNS = ["index", "coefficient", "support"]
+
+
 def _cmd_fit(args):
-    data = _load_matrix(args.design)
+    data = harness.read_matrix(args.design)[0]
     if args.response:
-        y = _load_matrix(args.response).ravel()
-        x = data
+        x, y = data, harness.read_matrix(args.response)[0].ravel()
     else:
         x, y = data[:, :-1], data[:, -1]
     problem = RegressionProblem(design=x, response=y)
-    config = _solver_config(args)
     fit = gaga_qr_fit if args.qr else gaga_fit
-    est = fit(problem, config)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "coefficient", "support"])
-        for j, (c, s) in enumerate(zip(est.coefficients, est.support)):
-            writer.writerow([j + 1, repr(float(c)), int(s)])
+    est = fit(problem, _solver_config(args))
+    rows = [{"index": j + 1, "coefficient": c, "support": int(s)}
+            for j, (c, s) in enumerate(zip(est.coefficients, est.support))]
+    harness.write_rows(args.out, rows, FIT_COLUMNS)
     return 0
 
 
-def _experiment_spec(args, cfg, need_sizes=False):
-    config = _solver_config(args, cfg)
-    est_names = cfg.get("estimators", "gaga").split(",")
-    model = cfg.get("model", datagen.MODEL1)
-    model_params = {}
-    if model == datagen.CONSISTENCY and "n" in cfg:
-        model_params["n"] = int(cfg["n"])
-    sizes = None
-    raw_sizes = cfg.get("sample_sizes")
-    if raw_sizes:
-        sizes = tuple(int(s) for s in raw_sizes.split(","))
-    if need_sizes and not sizes:
-        raise InvalidInput("sweep needs sample_sizes in the config")
+def _experiment_spec(args, model):
+    """The spec of a config file's experiment (``model`` unless the file
+    names one), and its output path."""
+    cfg = _parse_config_file(args.config)
+    sizes = cfg.get("sample_sizes")
     out = args.out or cfg.get("out")
     if not out:
         raise InvalidInput("no output path (set --out or out= in the config)")
-    return ExperimentSpec(
-        model=model,
-        estimators=_estimators(est_names, config),
-        model_params=model_params,
-        sample_sizes=sizes,
-        output_path=out,
+    spec = ExperimentSpec(
+        model=cfg.get("model", model),
+        estimators=_estimators(cfg.get("estimators", "gaga").split(","),
+                               _solver_config(args, cfg)),
+        model_params={"n": int(cfg["n"])} if "n" in cfg else {},
+        sample_sizes=tuple(int(s) for s in sizes.split(",")) if sizes else None,
         **{"replicates": REPLICATES, **_given(args, cfg, _REPLICATES, _SEED, _TIMING)},
     )
+    return spec, out
 
 
 def _cmd_experiment(args):
-    spec = _experiment_spec(args, _parse_config_file(args.config))
-    harness.run_experiment(spec)
+    spec, out = _experiment_spec(args, datagen.MODEL1)
+    harness.write_rows(out, harness.run_experiment(spec), harness.CSV_COLUMNS)
     return 0
 
 
 def _cmd_sweep(args):
-    spec = _experiment_spec(args, _parse_config_file(args.config), need_sizes=True)
-    harness.run_consistency_sweep(spec)
+    spec, out = _experiment_spec(args, datagen.CONSISTENCY)
+    harness.write_rows(out, harness.run_consistency_sweep(spec), harness.SWEEP_COLUMNS)
     return 0
 
 
@@ -178,9 +158,10 @@ def _cmd_bench(args):
     rows = harness.benchmark_timing(
         dims, n=args.n, repeats=args.repeats,
         config=_solver_config(args),
-        output_path=args.out,
         **_given(args, {}, _SEED),
     )
+    if args.out:
+        harness.write_rows(args.out, rows, harness.BENCH_COLUMNS)
     for row in rows:
         print(f"p={row['p']} estimator={row['estimator']} mean_s={row['mean_s']:.4f}")
     return 0

@@ -19,7 +19,6 @@ MODEL1 = "model1"
 MODEL2 = "model2"
 HIGHDIM = "highdim"
 CONSISTENCY = "consistency"
-ORTHOGONAL = "orthogonal"
 
 _STREAMS = {"design": 0, "coefficients": 1, "noise": 2, "support": 3}
 
@@ -128,6 +127,17 @@ def gen_consistency(seed: int, n: int) -> GeneratedInstance:
     return _assemble(seed, CONSISTENCY, x, beta)
 
 
+# Experiment models: name -> (generator name, parameters after the seed). The
+# generator is looked up on this module at each call, so that a wrapper
+# installed here (the benchmark's per-layer tracer) sees every instance.
+MODELS = {
+    MODEL1: ("gen_model1", ()),
+    MODEL2: ("gen_model2", ()),
+    HIGHDIM: ("gen_highdim", ()),
+    CONSISTENCY: ("gen_consistency", ("n",)),
+}
+
+
 def gen_orthogonal(seed: int, n: int, p: int, beta_true, sigma_star) -> GeneratedInstance:
     """Exactly column-orthogonal design with column squared norms n*sigma_star_j."""
     beta_true = np.asarray(beta_true, dtype=float)
@@ -142,5 +152,5 @@ def gen_orthogonal(seed: int, n: int, p: int, beta_true, sigma_star) -> Generate
     q, r = np.linalg.qr(g, mode="reduced")
     q = q * np.where(np.diagonal(r) < 0, -1.0, 1.0)
     x = q * np.sqrt(n * sigma_star)
-    return _assemble(seed, ORTHOGONAL, x, beta_true)
+    return _assemble(seed, "orthogonal", x, beta_true)
 

@@ -1,13 +1,15 @@
 """Experiment runner: replicate loops over the simulated designs, metric
 aggregation, empirical theory validation on orthogonal designs, and timing
-benchmarks. All tabular output is flat CSV.
+benchmarks. The runners return rows; ``write_rows`` writes them as flat CSV,
+and ``read_matrix`` reads the package's CSV input.
 """
 
 import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,34 +68,23 @@ class GagaEstimator:
 class ExternalEstimates:
     """Externally produced estimates, one coefficient row per replicate.
 
-    File format: optional '#' comment lines (a comment may declare
-    ``snap=<tol>`` to zero out entries with |v| <= tol), then a header
-    ``replicate,b1,...,bp``, then one row per replicate.
+    The file is read by ``read_matrix``: rows ``replicate,b1,...,bp``, with an
+    optional header and '#' comment lines anywhere. A comment may declare
+    ``snap=<tol>`` to zero out entries with |v| <= tol.
     """
 
     def __init__(self, path, name="external"):
-        self.path = str(path)
         self.name = name
-        self._rows = {}
+        data, comments = read_matrix(path)
         snap = 0.0
-        with open(path) as fh:
-            reader = csv.reader(fh)
-            header_seen = False
-            for row in reader:
-                if not row:
-                    continue
-                if row[0].lstrip().startswith("#"):
-                    text = ",".join(row)
-                    if "snap=" in text:
-                        snap = float(text.split("snap=", 1)[1].split(",")[0].strip())
-                    continue
-                if not header_seen:
-                    header_seen = True
-                    continue
-                rep = int(row[0])
-                vals = np.array([float(v) for v in row[1:]])
-                vals[np.abs(vals) <= snap] = 0.0
-                self._rows[rep] = vals
+        for text in comments:
+            if "snap=" in text:
+                snap = float(text.split("snap=", 1)[1].split(",")[0].strip())
+        replicates, vals = data[:, 0], data[:, 1:]
+        if np.any(replicates % 1 != 0):
+            raise InvalidInput(f"{path}: replicate numbers must be integers")
+        vals[np.abs(vals) <= snap] = 0.0
+        self._rows = {int(r): v for r, v in zip(replicates, vals)}
 
     def coefficients(self, instance: GeneratedInstance, replicate: int):
         if replicate not in self._rows:
@@ -113,7 +104,6 @@ class ExperimentSpec:
     base_seed: int = 0
     model_params: dict = field(default_factory=dict)
     sample_sizes: Optional[tuple] = None
-    output_path: Optional[str] = None
     record_timing: bool = False
 
     def __post_init__(self):
@@ -121,26 +111,21 @@ class ExperimentSpec:
             raise InvalidInput("replicates must be >= 1")
         if not self.estimators:
             raise InvalidInput("need at least one estimator")
+        names = [estimator.name for estimator in self.estimators]
+        if len(set(names)) < len(names):
+            raise InvalidInput(f"estimator names must differ, got {','.join(names)}")
 
 
 def generate_instance(model: str, seed: int, **params) -> GeneratedInstance:
-    if model == datagen.MODEL1:
-        return datagen.gen_model1(seed)
-    if model == datagen.MODEL2:
-        return datagen.gen_model2(seed)
-    if model == datagen.HIGHDIM:
-        return datagen.gen_highdim(seed)
-    try:
-        if model == datagen.CONSISTENCY:
-            return datagen.gen_consistency(seed, n=params["n"])
-        if model == datagen.ORTHOGONAL:
-            return datagen.gen_orthogonal(
-                seed, n=params["n"], p=params["p"],
-                beta_true=params["beta_true"], sigma_star=params["sigma_star"],
-            )
-    except KeyError as exc:
-        raise InvalidInput(f"model {model!r} needs {exc.args[0]}") from None
-    raise InvalidInput(f"unknown model {model!r}")
+    """One instance of a ``datagen.MODELS`` model, given exactly the
+    parameters that model takes."""
+    if model not in datagen.MODELS:
+        raise InvalidInput(f"unknown model {model!r}")
+    generator, needs = datagen.MODELS[model]
+    if set(params) != set(needs):
+        raise InvalidInput(f"model {model!r} needs {','.join(needs) or 'no parameter'}, "
+                           f"got {','.join(sorted(params)) or 'none'}")
+    return getattr(datagen, generator)(seed, **params)
 
 
 def _run_replicate(spec: ExperimentSpec, replicate: int):
@@ -187,6 +172,28 @@ def _summary_rows(spec: ExperimentSpec, data_rows):
     return out
 
 
+def read_matrix(path):
+    """The numeric rows of a CSV file as a 2-D array, and its comment lines.
+
+    A line whose first non-blank character is '#' is a comment wherever it
+    appears, and blank lines are skipped. The first remaining line is a
+    header, and is skipped, unless every field of it parses as a number.
+    """
+    lines, comments = [], []
+    for line in Path(path).read_text().splitlines():
+        if line.lstrip().startswith("#"):
+            comments.append(line)
+        elif line.strip():
+            lines.append(line)
+    try:
+        [float(v) for v in lines[0].split(",")]
+    except (IndexError, ValueError):
+        lines = lines[1:]  # a header row, or no line at all
+    if not lines:
+        raise InvalidInput(f"{path} has no data rows")
+    return np.loadtxt(lines, delimiter=",", ndmin=2), comments
+
+
 def write_rows(path, rows, columns=CSV_COLUMNS):
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
@@ -202,12 +209,10 @@ def _fmt(v):
 
 
 def run_experiment(spec: ExperimentSpec):
-    """Run every (replicate, estimator) cell, append per-estimator summary
-    rows, and write the CSV when an output path is set. Returns the rows."""
+    """The rows of every (replicate, estimator) cell, then the per-estimator
+    summary rows (columns ``CSV_COLUMNS``)."""
     rows = [row for r in range(spec.replicates) for row in _run_replicate(spec, r)]
     rows.extend(_summary_rows(spec, rows))
-    if spec.output_path:
-        write_rows(spec.output_path, rows)
     return rows
 
 
@@ -215,16 +220,14 @@ SWEEP_COLUMNS = ["sample_size", "estimator", "mean_err", "mean_acc", "replicates
 
 
 def run_consistency_sweep(spec: ExperimentSpec):
-    """One averaged (err, acc) row per (sample size, estimator)."""
+    """One averaged (err, acc) row per (sample size, estimator) (columns
+    ``SWEEP_COLUMNS``): ``spec.model`` is run with n set to each sample size."""
     if not spec.sample_sizes:
         raise InvalidInput("sweep needs sample_sizes")
     out = []
     for n in spec.sample_sizes:
-        sub = ExperimentSpec(
-            model=datagen.CONSISTENCY, replicates=spec.replicates,
-            estimators=spec.estimators, base_seed=spec.base_seed,
-            model_params={"n": int(n)}, record_timing=False,
-        )
+        sub = replace(spec, model_params={**spec.model_params, "n": int(n)},
+                      record_timing=False)
         rows = run_experiment(sub)
         for row in rows:
             if row["status"] == "summary" and row["replicate"] == "mean":
@@ -233,8 +236,6 @@ def run_consistency_sweep(spec: ExperimentSpec):
                     "mean_err": row["err"], "mean_acc": row["acc"],
                     "replicates": spec.replicates,
                 })
-    if spec.output_path:
-        write_rows(spec.output_path, out, columns=SWEEP_COLUMNS)
     return out
 
 
@@ -324,9 +325,9 @@ def _highdim_like(seed, n, p):
     return RegressionProblem(design=x, response=x @ beta + noise)
 
 
-def benchmark_timing(dimensions, n, repeats, config=None, base_seed=0,
-                     output_path=None):
-    """Mean/median wall-clock per fit for the plain and QR solvers at each p."""
+def benchmark_timing(dimensions, n, repeats, config=None, base_seed=0):
+    """Mean/median wall-clock per fit for the plain and QR solvers at each p
+    (columns ``BENCH_COLUMNS``)."""
     if config is None:
         config = GagaConfig()
     if repeats < 1:
@@ -349,6 +350,4 @@ def benchmark_timing(dimensions, n, repeats, config=None, base_seed=0,
                 "median_s": statistics.median(times[name]),
                 "repeats": int(repeats),
             })
-    if output_path:
-        write_rows(output_path, rows, columns=BENCH_COLUMNS)
     return rows

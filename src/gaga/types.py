@@ -63,8 +63,8 @@ class GagaConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise InvalidInput("iterations must be >= 1")
-        if not self.alpha > 1:
-            raise InvalidInput("alpha must be > 1")
+        if not 1 < self.alpha < np.inf:
+            raise InvalidInput("alpha must be finite and > 1")
         if self.variance_mode not in (FIXED, ESTIMATED):
             raise InvalidInput(f"unknown variance_mode {self.variance_mode!r}")
 

@@ -83,6 +83,16 @@ class TestFit:
         assert np.array_equal([float(r["coefficient"]) for r in rows],
                               est.coefficients)
 
+    def test_comment_before_header(self, saved_instance, tmp_path):
+        inst, dpath = saved_instance
+        commented = tmp_path / "commented.csv"
+        commented.write_text("# model1, seed 0\n" + dpath.read_text())
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--design", str(commented), "--out", str(out)]) == 0
+        with open(out) as fh:
+            got = [float(r["coefficient"]) for r in csv.DictReader(fh)]
+        assert np.array_equal(got, gaga_fit(inst.problem, GagaConfig()).coefficients)
+
     def test_qr_flag(self, saved_instance, tmp_path):
         _, dpath = saved_instance
         out = tmp_path / "fit_qr.csv"
@@ -110,6 +120,12 @@ class TestFit:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "error kind=InvalidInput" in capsys.readouterr().err
+
+    def test_infinite_alpha_fails(self, saved_instance, tmp_path, capsys):
+        _, dpath = saved_instance
+        assert main(["fit", "--design", str(dpath), "--alpha", "inf",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert "alpha must be finite" in single_error_line(capsys)
 
     @staticmethod
     def _fit_scaled_design(tmp_path, scale):
@@ -184,10 +200,43 @@ class TestExperiment:
         assert "needs n" in single_error_line(capsys)
 
     def test_orthogonal_model_fails(self, tmp_path, capsys):
+        # validate draws the orthogonal designs itself; no experiment runs them.
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"model = orthogonal\nreplicates = 1\nout = {tmp_path / 'o.csv'}\n")
         assert main(["experiment", "--config", str(cfg)]) == 1
-        assert "'orthogonal' needs" in single_error_line(capsys)
+        assert "unknown model 'orthogonal'" in single_error_line(capsys)
+
+    def test_n_for_a_model_without_n_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"model = model1\nn = 50\nreplicates = 1\nout = {tmp_path / 'o.csv'}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "'model1' needs no parameter, got n" in single_error_line(capsys)
+
+    def test_external_estimators_keep_their_names(self, tmp_path):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "exp.csv"
+        paths = []
+        for name, value in (("a.csv", "0.5"), ("b.csv", "0.0")):
+            path = tmp_path / name
+            path.write_text("replicate," + ",".join(f"b{j}" for j in range(1, 9)) + "\n"
+                            + "".join(f"{r}," + ",".join([value] * 8) + "\n" for r in range(2)))
+            paths.append(f"external:{path}")
+        cfg.write_text(f"model = model1\nreplicates = 2\nestimators = {','.join(paths)}\n")
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        means = {r["estimator"]: r for r in rows if r["replicate"] == "mean"}
+        # Every coefficient nonzero keeps model1's 5 zeros; all zero keeps none.
+        fp = {name: float(r["fp"]) for name, r in means.items()}
+        assert fp == {paths[0]: 5.0, paths[1]: 0.0}
+
+    def test_one_external_file_twice_fails(self, tmp_path, capsys):
+        path = tmp_path / "ext.csv"
+        path.write_text("0," + ",".join(["0.5"] * 8) + "\n")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"replicates = 1\nestimators = external:{path},external:{path}\n"
+                       f"out = {tmp_path / 'o.csv'}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "names must differ" in single_error_line(capsys)
 
     @pytest.mark.parametrize("line", ["record_timing = maybe", "iterations = 2.5",
                                       "alpha = abc"])
@@ -228,6 +277,20 @@ class TestSweep:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["sample_size"]) for r in rows] == [30, 60]
+
+    def test_sweep_runs_the_model_it_names(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"model = highdim\nreplicates = 1\nsample_sizes = 30\n"
+                       f"out = {tmp_path / 'o.csv'}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "'highdim' needs no parameter, got n" in single_error_line(capsys)
+
+    def test_sweep_defaults_to_the_consistency_model(self, tmp_path):
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        cfg.write_text(f"replicates = 1\nsample_sizes = 30\nout = {out}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        with open(out) as fh:
+            assert [r["sample_size"] for r in csv.DictReader(fh)] == ["30"]
 
     def test_sweep_without_sizes_fails(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"

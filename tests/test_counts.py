@@ -8,10 +8,13 @@ the traced kernel fails the kernel-call equalities.
 """
 
 import importlib.util
+import json
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gaga.cli  # with it, every module the tracer targets is loaded
 import gaga.linalg
@@ -101,3 +104,32 @@ def test_qr_fit_counts():
     assert calls["linalg.lapack.dpotrf"] <= 1
     assert calls["linalg.lapack.dtrtri"] == 0
     assert calls["qr.lapack.dpotrf"] <= 1
+
+
+@pytest.mark.parametrize("module, name", [("gaga.solver", "gaga_fit"),
+                                          ("gaga.qr", "gaga_qr_fit")])
+def test_per_layer_record_has_no_null(module, name):
+    """The benchmark's per-layer record of a traced fit holds a finite number
+    for every metric; a null there costs the run its result line. A metric
+    reads null when its symbol is gone, and also when a fit makes no call it
+    can see: ``linalg.gflops`` needs a LAPACK call through ``gaga.linalg``
+    (the QR variant's one is its least-squares ordering), and
+    ``solver.clamped_frac`` needs the fit called through its wrapper, so the
+    fit is looked up after ``install()``."""
+    tracer = _load_layers().Tracer()
+    tracer.install()
+    try:
+        tracer.enter("datagen.generate")
+        problem = _problem()
+        tracer.exit()
+        fit = getattr(sys.modules[module], name)
+        tracer.enter("op")
+        fit(problem, GagaConfig(iterations=K))
+        tracer.exit()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(1, tracer.total["datagen.generate"], 1, 0,
+                             overhead_frac=0.0, blas_thread_speedup=1.0,
+                             op_s=tracer.total["op"])
+    assert [k for k, v in metrics.items() if v is None] == []
+    json.dumps(metrics, allow_nan=False)

@@ -7,6 +7,7 @@ import pytest
 from gaga import GagaConfig, InvalidInput
 from gaga.datagen import CONSISTENCY, MODEL1, gen_model1, replicate_seed
 from gaga.harness import (
+    BENCH_COLUMNS,
     CSV_COLUMNS,
     ExperimentSpec,
     ExternalEstimates,
@@ -14,6 +15,7 @@ from gaga.harness import (
     benchmark_timing,
     generate_instance,
     ks_distance,
+    read_matrix,
     run_consistency_sweep,
     run_experiment,
     validate_theorems,
@@ -103,9 +105,9 @@ class TestRunExperiment:
     def test_output_csv_round_trip(self, tmp_path):
         out = tmp_path / "exp.csv"
         spec = ExperimentSpec(model=MODEL1, replicates=2,
-                              estimators=(GagaEstimator(),),
-                              output_path=str(out))
+                              estimators=(GagaEstimator(),))
         rows = run_experiment(spec)
+        write_rows(out, rows)
         with open(out) as fh:
             back = list(csv.DictReader(fh))
         assert len(back) == len(rows)
@@ -121,6 +123,32 @@ class TestRunExperiment:
     def test_unknown_model(self):
         with pytest.raises(InvalidInput):
             generate_instance("nope", 0)
+
+    def test_unexpected_model_parameter(self):
+        with pytest.raises(InvalidInput, match="'model1' needs no parameter, got n"):
+            generate_instance(MODEL1, 0, n=50)
+
+    def test_duplicate_estimator_names(self):
+        # Two estimators under one name would pool their summary rows.
+        with pytest.raises(InvalidInput, match="names must differ"):
+            ExperimentSpec(model=MODEL1, replicates=1,
+                           estimators=(GagaEstimator(), GagaEstimator()))
+
+
+class TestReadMatrix:
+    def test_header_and_comments_anywhere(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# made by hand\n\nx1,x2\n1,2\n# middle\n3,4\n")
+        data, comments = read_matrix(path)
+        assert np.array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
+        assert comments == ["# made by hand", "# middle"]
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n", "x1,x2\n"])
+    def test_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidInput, match="no data rows"):
+            read_matrix(path)
 
 
 class TestExternalEstimates:
@@ -158,6 +186,19 @@ class TestExternalEstimates:
         with pytest.raises(InvalidInput):
             ext.coefficients(None, 5)
 
+    def test_file_without_header_keeps_first_replicate(self, tmp_path):
+        path = tmp_path / "ext.csv"
+        path.write_text("0,1.5,0.0\n1,2.5,3.0\n")
+        ext = ExternalEstimates(path)
+        assert np.array_equal(ext.coefficients(None, 0), [1.5, 0.0])
+        assert np.array_equal(ext.coefficients(None, 1), [2.5, 3.0])
+
+    def test_non_integer_replicate(self, tmp_path):
+        path = tmp_path / "ext.csv"
+        path.write_text("replicate,b1\n0.5,1.0\n")
+        with pytest.raises(InvalidInput, match="integers"):
+            ExternalEstimates(path)
+
 
 class TestConsistencySweep:
     def test_row_count_and_columns(self):
@@ -168,6 +209,14 @@ class TestConsistencySweep:
         assert len(rows) == 3
         assert [r["sample_size"] for r in rows] == [30, 60, 90]
         assert all(r["replicates"] == 4 for r in rows)
+
+    def test_runs_the_spec_model(self):
+        # model1 takes no n, so a sweep over it is an error, not a silent
+        # consistency sweep.
+        spec = ExperimentSpec(model=MODEL1, replicates=1,
+                              estimators=(GagaEstimator(),), sample_sizes=(30,))
+        with pytest.raises(InvalidInput, match="'model1' needs no parameter"):
+            run_consistency_sweep(spec)
 
     def test_requires_sample_sizes(self):
         spec = ExperimentSpec(model=CONSISTENCY, replicates=2,
@@ -208,11 +257,11 @@ class TestValidateTheorems:
 class TestBenchmark:
     def test_rows_and_positive_times(self, tmp_path):
         out = tmp_path / "bench.csv"
-        rows = benchmark_timing([10, 20], n=60, repeats=2,
-                                output_path=str(out))
+        rows = benchmark_timing([10, 20], n=60, repeats=2)
         assert len(rows) == 4
         assert {r["estimator"] for r in rows} == {"gaga", "gaga_qr"}
         assert all(r["mean_s"] > 0 and r["median_s"] > 0 for r in rows)
+        write_rows(out, rows, BENCH_COLUMNS)
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 4
 

@@ -396,6 +396,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidInput):
             GagaConfig(alpha=1.0)
 
+    def test_alpha_must_be_finite(self):
+        # An infinite gain sets every weight to 0: an unpenalized fit that
+        # truncates nothing.
+        with pytest.raises(InvalidInput):
+            GagaConfig(alpha=np.inf)
+
     def test_iterations_positive(self):
         with pytest.raises(InvalidInput):
             GagaConfig(iterations=0)
