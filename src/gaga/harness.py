@@ -224,6 +224,8 @@ def run_consistency_sweep(spec: ExperimentSpec):
     ``SWEEP_COLUMNS``): ``spec.model`` is run with n set to each sample size."""
     if not spec.sample_sizes:
         raise InvalidInput("sweep needs sample_sizes")
+    if "n" in spec.model_params:
+        raise InvalidInput("a sweep sets n from sample_sizes; remove n from the config")
     out = []
     for n in spec.sample_sizes:
         sub = replace(spec, model_params={**spec.model_params, "n": int(n)},

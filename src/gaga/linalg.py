@@ -25,7 +25,8 @@ BLOCK = 128
 
 
 def default_rank_tolerance(gram_diag):
-    return 1e-10 * float(np.max(gram_diag))
+    """Per coordinate: a pivot^2 within 1e-10 of its own X'X diagonal is rank loss."""
+    return 1e-10 * gram_diag
 
 
 def build_gram(problem: RegressionProblem) -> GramSystem:
@@ -45,6 +46,16 @@ def build_gram(problem: RegressionProblem) -> GramSystem:
             and np.isfinite(response_sq_norm)):
         raise InvalidInput("X'X, X'y or y'y overflows; rescale the design and response")
     return GramSystem(gram=gram, cross=cross, response_sq_norm=response_sq_norm)
+
+
+def matvec(mat, vec):
+    """mat @ vec by scipy's ``dgemv``. The kernel's factorizations also run
+    in scipy's BLAS, so a solver step stays in one BLAS thread pool (numpy
+    loads a second one). A C-order matrix is passed as its Fortran-order
+    transpose, without a copy. ``vec`` must not be empty."""
+    if mat.flags.c_contiguous:
+        return blas.dgemv(1.0, mat.T, vec, trans=1)
+    return blas.dgemv(1.0, mat, vec)
 
 
 def is_diagonal(mat) -> bool:
@@ -73,8 +84,7 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     if np.any(penalty_diag < 0):
         raise InvalidInput("penalty_diag must be nonnegative")
 
-    gram_diag = gram if gram.ndim == 1 else np.diagonal(gram)
-    rank_tolerance = default_rank_tolerance(np.abs(gram_diag) + 1e-300)
+    rank_tolerance = default_rank_tolerance(gram if gram.ndim == 1 else np.diagonal(gram))
 
     if gram.ndim == 1:
         diag = gram + penalty_diag
@@ -83,6 +93,10 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
             raise SingularSystem(pivot=int(bad[0]))
         return rhs / diag, 1.0 / diag
 
+    # A symmetric C-order gram is the transpose of its Fortran-order self, so
+    # every copy below is taken in the order the gram is stored in.
+    if gram.flags.c_contiguous:
+        gram = gram.T
     if inverse and p > BLOCK:
         return _solve_by_inverse_factor(gram, penalty_diag, rhs, rank_tolerance)
 
@@ -168,10 +182,8 @@ def _inverse_factor_blocks(a11, a21, a22, offset):
 
 def _solve_by_inverse_factor(gram, penalty_diag, rhs, rank_tolerance):
     """The solution W'W rhs and the column sums of squares of W, block by
-    block, so that W is never assembled. A symmetric C-order gram is the
-    transpose of its Fortran-order self, so each quadrant is copied in the
-    order it is stored in."""
-    a11, a21, a22 = _quadrants(gram.T if gram.flags.c_contiguous else gram)
+    block, so that W is never assembled."""
+    a11, a21, a22 = _quadrants(gram)
     h = a11.shape[0]
     a11[np.diag_indices(h)] += penalty_diag[:h]
     a22[np.diag_indices(a22.shape[0])] += penalty_diag[h:]
@@ -179,9 +191,9 @@ def _solve_by_inverse_factor(gram, penalty_diag, rhs, rank_tolerance):
     _check_rank(1.0 / np.concatenate((np.diagonal(w11), np.diagonal(w22))),
                 rank_tolerance)
 
-    z1 = w11 @ rhs[:h]
-    z2 = w21 @ rhs[:h] + w22 @ rhs[h:]
-    sol = np.concatenate((w11.T @ z1 + w21.T @ z2, w22.T @ z2))
+    z1 = matvec(w11, rhs[:h])
+    z2 = matvec(w21, rhs[:h]) + matvec(w22, rhs[h:])
+    sol = np.concatenate((matvec(w11.T, z1) + matvec(w21.T, z2), matvec(w22.T, z2)))
     inv_diag = np.concatenate((
         np.einsum("ij,ij->j", w11, w11) + np.einsum("ij,ij->j", w21, w21),
         np.einsum("ij,ij->j", w22, w22)))

@@ -29,12 +29,13 @@ def _ols_permutation(problem: RegressionProblem):
         raise RankDeficient(pivot=exc.pivot) from exc
     # Stable sort keeps original order on |ols| ties.
     perm = np.argsort(-np.abs(ols), kind="stable")
-    return gs, perm, default_rank_tolerance(np.abs(gs.diagonal))
+    return gs, perm, default_rank_tolerance(gs.diagonal)
 
 
 def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
     """R and Q'y of the column-permuted design from its gram alone: R is the
-    upper Cholesky factor of P'X'XP and Q'y = R^-T P'X'y."""
+    upper Cholesky factor of P'X'XP and Q'y = R^-T P'X'y. ``rank_tolerance``
+    is per coordinate, in the unpermuted order."""
     gram = gram_system.gram
     if gram.ndim == 1:  # an orthogonal design
         gram = np.diag(gram)
@@ -47,7 +48,7 @@ def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
     if info < 0:
         raise InvalidInput(f"illegal argument {-info} to dpotrf")
     pivots = np.diagonal(r)
-    small = np.flatnonzero(pivots * pivots <= rank_tolerance)
+    small = np.flatnonzero(pivots * pivots <= rank_tolerance[perm])
     if small.size:
         raise RankDeficient(pivot=int(small[0]))
     qty, info = lapack.dtrtrs(r, gram_system.cross[perm], lower=0, trans=1)

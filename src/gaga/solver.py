@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import build_gram, spd_solve_with_inverse_diagonal
+from .linalg import build_gram, matvec, spd_solve_with_inverse_diagonal
 from .types import (
     ESTIMATED,
     GagaConfig,
@@ -32,7 +32,7 @@ FREEZE_RATIO = 1e8
 def resolve_tuning_clamp(config: GagaConfig, gram_system: GramSystem) -> float:
     # Uncapped weights on dead coordinates grow geometrically and overflow;
     # anything this large is indistinguishable after truncation.
-    scale = gram_system.max_diagonal
+    scale = float(np.max(gram_system.diagonal))
     clamp = 1e12 * scale
     if not np.isfinite(clamp):
         raise InvalidInput(
@@ -63,7 +63,7 @@ def estimate_variance_em(state: SolverState, gram_system: GramSystem, n: int) ->
     """
     g, c = gram_system.gram, gram_system.cross
     beta = state.beta
-    g_beta = g * beta if g.ndim == 1 else g @ beta
+    g_beta = g * beta if g.ndim == 1 else matvec(g, beta)
     trace_term = gram_system.p - float(state.inv_diag @ state.tuning)
     rss = (
         gram_system.response_sq_norm
@@ -91,7 +91,7 @@ def gaga_step(
     the factorization."""
     gram, cross, tuning = gram_system.gram, gram_system.cross, state.tuning
     clamp = resolve_tuning_clamp(config, gram_system)
-    frozen = tuning > FREEZE_RATIO * gram_system.max_diagonal
+    frozen = tuning > FREEZE_RATIO * float(np.max(gram_system.diagonal))
     if gram.ndim == 1 or not frozen.any():
         beta, inv_diag = spd_solve_with_inverse_diagonal(gram, tuning, cross)
     else:
@@ -125,11 +125,13 @@ def gaga_step(
 def _active_set_solve(gram, tuning, cross, frozen):
     active, dead = np.flatnonzero(~frozen), np.flatnonzero(frozen)
     beta, inv_diag = np.zeros(gram.shape[0]), np.empty(gram.shape[0])
-    if active.size:  # the kernel cannot factorize an empty block
+    coupling = 0.0
+    if active.size:  # neither the kernel nor dgemv takes an empty block
         beta[active], inv_diag[active] = spd_solve_with_inverse_diagonal(
             gram[np.ix_(active, active)], tuning[active], cross[active])
+        coupling = matvec(gram[np.ix_(dead, active)], beta[active])
     inv_diag[dead] = 1.0 / (np.diagonal(gram)[dead] + tuning[dead])
-    beta[dead] = (cross[dead] - gram[np.ix_(dead, active)] @ beta[active]) * inv_diag[dead]
+    beta[dead] = (cross[dead] - coupling) * inv_diag[dead]
     return beta, inv_diag
 
 

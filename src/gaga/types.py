@@ -1,6 +1,6 @@
 """Shared domain types: problems, solver configuration, estimates."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,14 +104,11 @@ class GramSystem:
 
     An exactly diagonal X'X is stored as the length-p vector of its diagonal,
     so whether a system is diagonal is decided once, here, and every solve on
-    a diagonal system takes the O(p) closed form. ``max_diagonal``, the
-    largest diagonal entry of X'X, scales the weight clamp and the freeze
-    bound of every solver step; it is computed once, here."""
+    a diagonal system takes the O(p) closed form."""
 
     gram: np.ndarray
     cross: np.ndarray
     response_sq_norm: float
-    max_diagonal: float = field(init=False)
 
     def __post_init__(self):
         from . import linalg  # linalg imports this module
@@ -127,7 +124,6 @@ class GramSystem:
             gram = np.diagonal(gram).copy()
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "cross", cross)
-        object.__setattr__(self, "max_diagonal", float(np.max(self.diagonal)))
 
     @property
     def p(self) -> int:

@@ -292,6 +292,15 @@ class TestSweep:
         with open(out) as fh:
             assert [r["sample_size"] for r in csv.DictReader(fh)] == ["30"]
 
+    def test_sweep_rejects_a_config_n(self, tmp_path, capsys):
+        # The sample sizes set n; a config n would be dropped without a word.
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        cfg.write_text(f"model = consistency\nn = 500\nsample_sizes = 20,40\n"
+                       f"replicates = 1\nout = {out}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "sample_sizes" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_sweep_without_sizes_fails(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(f"model = consistency\nout = {tmp_path / 'o.csv'}\n")

@@ -133,7 +133,10 @@ def assert_config_run(data, command):
         cfg = {"model": model, "estimators": d.value(
             "estimators", ["gaga", "gaga_qr", "gaga,gaga_qr", f"external:{tmp / 'ext.csv'}"],
             ["bogus", "", f"external:{tmp / 'bad.csv'}", f"external:{tmp / 'absent.csv'}"])}
-        if model == "consistency" or "n" in d.faults:
+        if command == "sweep":  # the sample sizes set n, so any n line is a fault
+            if "n" in d.faults:
+                cfg["n"] = d.draw(st.sampled_from(["8", "20", "3", "x"]))
+        elif model == "consistency" or "n" in d.faults:
             cfg["n"] = d.value("n", ["8", "20"], ["3", "x"])
         if command == "sweep" or "sample_sizes" in d.faults:
             cfg["sample_sizes"] = d.value("sample_sizes", ["8,20", "20"], ["", "3", "8,x"])

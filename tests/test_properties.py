@@ -1,0 +1,104 @@
+"""Invariants of the fits, checked with ``hypothesis`` on generated inputs.
+
+- Column scaling: multiplying one column of the design by 10^k, k in
+  [-8, 8], leaves the plain fit's support as it is and divides that
+  column's coefficient by 10^k. Every rank test of the kernel compares a
+  pivot with its own column's X'X diagonal, so one column's units cannot
+  make another column look singular.
+- Column permutation: the plain fit permutes with the columns.
+- Typed failures: on any finite design and response, both fits return
+  finite output or raise a ``GagaError``.
+- The QR variant fits the scaled designs too. Its support may move, because
+  its ordering of the columns by OLS magnitude depends on their units.
+
+Equivariance is checked to 1e-8 * max(1, max |coef|), the tolerance of the
+benchmark's reference check.
+"""
+
+import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from gaga import ESTIMATED, FIXED, GagaConfig, GagaError, RegressionProblem, gaga_fit, gaga_qr_fit
+
+TOL = 1e-8
+N, P = 200, 10
+BETA = np.array([3.0, 1.5, 0.0, 0.0, 2.0, 0.0, 0.0, 0.5, 0.0, 0.0])
+
+seeds = st.integers(0, 2**32 - 1)
+modes = st.sampled_from((FIXED, ESTIMATED))
+columns = st.integers(0, P - 1)
+exponents = st.floats(-8.0, 8.0)
+
+
+def ar_problem(seed):
+    """200 x 10 AR(0.5) rows with a sparse signal and unit noise."""
+    rng = np.random.default_rng(seed)
+    lag = np.abs(np.subtract.outer(np.arange(P), np.arange(P)))
+    x = rng.standard_normal((N, P)) @ np.linalg.cholesky(0.5**lag).T
+    return x, x @ BETA + rng.standard_normal(N)
+
+
+def assert_same_fit(got, ref):
+    assert np.array_equal(got != 0.0, ref != 0.0)
+    assert np.abs(got - ref).max() <= TOL * max(1.0, np.abs(ref).max())
+
+
+def scaled(x, column, exponent):
+    factor = 10.0**exponent
+    x = x.copy()
+    x[:, column] *= factor
+    return x, factor
+
+
+@given(seed=seeds, mode=modes, column=columns, exponent=exponents)
+@example(seed=0, mode=FIXED, column=3, exponent=8.0)
+@example(seed=0, mode=ESTIMATED, column=0, exponent=-8.0)
+def test_plain_fit_is_equivariant_under_column_scaling(seed, mode, column, exponent):
+    x, y = ar_problem(seed)
+    config = GagaConfig(variance_mode=mode)
+    ref = gaga_fit(RegressionProblem(design=x, response=y), config).coefficients
+    x, factor = scaled(x, column, exponent)
+    got = gaga_fit(RegressionProblem(design=x, response=y), config).coefficients
+    got[column] *= factor
+    assert_same_fit(got, ref)
+
+
+@given(seed=seeds, mode=modes, perm=st.permutations(range(P)))
+def test_plain_fit_is_equivariant_under_column_permutation(seed, mode, perm):
+    x, y = ar_problem(seed)
+    config = GagaConfig(variance_mode=mode)
+    ref = gaga_fit(RegressionProblem(design=x, response=y), config).coefficients
+    got = gaga_fit(RegressionProblem(design=x[:, perm], response=y), config).coefficients
+    assert_same_fit(got, ref[perm])
+
+
+@given(seed=seeds, mode=modes, column=columns, exponent=exponents)
+@example(seed=0, mode=FIXED, column=3, exponent=8.0)
+@example(seed=0, mode=ESTIMATED, column=0, exponent=-8.0)
+def test_qr_fit_runs_on_scaled_designs(seed, mode, column, exponent):
+    x, y = ar_problem(seed)
+    x, _ = scaled(x, column, exponent)
+    est = gaga_qr_fit(RegressionProblem(design=x, response=y), GagaConfig(variance_mode=mode))
+    assert np.isfinite(est.coefficients).all()
+
+
+@st.composite
+def finite_problems(draw):
+    n, p = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    cells = st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0, -1e-200, 1e150])
+    x = draw(arrays(float, (n, p), elements=cells))
+    y = draw(arrays(float, n, elements=cells))
+    return RegressionProblem(design=x, response=y)
+
+
+@given(problem=finite_problems(), mode=modes)
+def test_every_finite_input_fits_or_raises_a_typed_error(problem, mode):
+    for fit in (gaga_fit, gaga_qr_fit):
+        try:
+            est = fit(problem, GagaConfig(variance_mode=mode, iterations=20))
+        except GagaError:
+            continue
+        assert np.isfinite(est.coefficients).all() and np.isfinite(est.tuning).all()
+        assert np.isfinite(est.estimated_variance)
