@@ -85,13 +85,15 @@ def gen_model1(seed: int) -> GeneratedInstance:
     return _assemble(seed, MODEL1, x, beta)
 
 
+def _equicorrelation(p: int) -> np.ndarray:
+    return np.where(np.eye(p, dtype=bool), 1.0, 0.5)
+
+
 def gen_model2(seed: int) -> GeneratedInstance:
     """n=100, p=40, equicorrelation 0.5; four blocks of 10:
     zeros, U(0,1) repeated, zeros, U(10,100) repeated."""
     n, p = 100, 40
-    corr = np.full((p, p), 0.5)
-    np.fill_diagonal(corr, 1.0)
-    x = correlated_gaussian_rows(corr, n, stream_rng(seed, "design"))
+    x = correlated_gaussian_rows(_equicorrelation(p), n, stream_rng(seed, "design"))
     crng = stream_rng(seed, "coefficients")
     b1 = float(_open_uniform(crng, 0.0, 1.0))
     b2 = float(_open_uniform(crng, 10.0, 100.0))
@@ -99,14 +101,10 @@ def gen_model2(seed: int) -> GeneratedInstance:
     return _assemble(seed, MODEL2, x, beta)
 
 
-def gen_highdim(seed: int) -> GeneratedInstance:
-    """n=1000, p=500, equicorrelation 0.5; 250 randomly placed zeros, the rest
-    U(0,5)."""
-    n, p, zeros = 1000, 500, 250
-    corr = np.full((p, p), 0.5)
-    np.fill_diagonal(corr, 1.0)
-    x = correlated_gaussian_rows(corr, n, stream_rng(seed, "design"))
-    zero_pos = stream_rng(seed, "support").choice(p, size=zeros, replace=False)
+def gen_highdim(seed: int, n: int = 1000, p: int = 500) -> GeneratedInstance:
+    """Equicorrelation 0.5; p // 2 randomly placed zeros, the rest U(0,5)."""
+    x = correlated_gaussian_rows(_equicorrelation(p), n, stream_rng(seed, "design"))
+    zero_pos = stream_rng(seed, "support").choice(p, size=p // 2, replace=False)
     beta = _open_uniform(stream_rng(seed, "coefficients"), 0.0, 5.0, size=p)
     beta[zero_pos] = 0.0
     return _assemble(seed, HIGHDIM, x, beta)

@@ -83,6 +83,9 @@ class ExternalEstimates:
         replicates, vals = data[:, 0], data[:, 1:]
         if np.any(replicates % 1 != 0):
             raise InvalidInput(f"{path}: replicate numbers must be integers")
+        reps, counts = np.unique(replicates, return_counts=True)
+        if np.any(counts > 1):
+            raise InvalidInput(f"{path}: replicate {int(reps[counts > 1][0])} is repeated")
         vals[np.abs(vals) <= snap] = 0.0
         self._rows = {int(r): v for r, v in zip(replicates, vals)}
 
@@ -315,21 +318,9 @@ def validate_theorems(n, replicates, beta_star, sigma_star, config=None,
 BENCH_COLUMNS = ["p", "n", "estimator", "mean_s", "median_s", "repeats"]
 
 
-def _highdim_like(seed, n, p):
-    corr = np.full((p, p), 0.5)
-    np.fill_diagonal(corr, 1.0)
-    x = datagen.correlated_gaussian_rows(corr, n, datagen.stream_rng(seed, "design"))
-    beta = np.zeros(p)
-    nz = datagen.stream_rng(seed, "support").choice(p, size=p // 2, replace=False)
-    beta[nz] = datagen.stream_rng(seed, "coefficients").uniform(0.0, 5.0, size=p // 2)
-    noise = datagen.stream_rng(seed, "noise").standard_normal(n)
-    from .types import RegressionProblem
-    return RegressionProblem(design=x, response=x @ beta + noise)
-
-
 def benchmark_timing(dimensions, n, repeats, config=None, base_seed=0):
-    """Mean/median wall-clock per fit for the plain and QR solvers at each p
-    (columns ``BENCH_COLUMNS``)."""
+    """Mean/median wall-clock per fit for the plain and QR solvers on
+    ``datagen.gen_highdim(seed, n, p)`` at each p (columns ``BENCH_COLUMNS``)."""
     if config is None:
         config = GagaConfig()
     if repeats < 1:
@@ -340,7 +331,7 @@ def benchmark_timing(dimensions, n, repeats, config=None, base_seed=0):
             raise InvalidInput(f"need p <= n, got p={p}, n={n}")
         times = {"gaga": [], "gaga_qr": []}
         for rep in range(repeats):
-            problem = _highdim_like(replicate_seed(base_seed, rep), n, p)
+            problem = datagen.gen_highdim(replicate_seed(base_seed, rep), n, p).problem
             for name, fit in (("gaga", gaga_fit), ("gaga_qr", gaga_qr_fit)):
                 start = time.perf_counter()
                 fit(problem, config)

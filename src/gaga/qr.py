@@ -33,16 +33,16 @@ def _ols_permutation(problem: RegressionProblem):
 
 
 def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
-    """R and Q'y of the column-permuted design from its gram alone: R is the
-    upper Cholesky factor of P'X'XP and Q'y = R^-T P'X'y. ``rank_tolerance``
-    is per coordinate, in the unpermuted order."""
+    """R (upper triangle only; the lower one is not cleared) and Q'y of the
+    column-permuted design from its gram alone: R'R = P'X'XP, Q'y = R^-T P'X'y.
+    ``rank_tolerance`` is per coordinate, in the unpermuted order."""
     gram = gram_system.gram
     if gram.ndim == 1:  # an orthogonal design
         gram = np.diag(gram)
     # P'GP is symmetric, so its transpose is the same matrix in the Fortran
     # order LAPACK factorizes in place, without another p×p copy.
     permuted = gram[np.ix_(perm, perm)].T
-    r, info = lapack.dpotrf(permuted, lower=0, clean=1, overwrite_a=1)
+    r, info = lapack.dpotrf(permuted, lower=0, overwrite_a=1)
     if info > 0:
         raise RankDeficient(pivot=int(info) - 1)
     if info < 0:

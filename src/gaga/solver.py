@@ -125,13 +125,12 @@ def gaga_step(
 def _active_set_solve(gram, tuning, cross, frozen):
     active, dead = np.flatnonzero(~frozen), np.flatnonzero(frozen)
     beta, inv_diag = np.zeros(gram.shape[0]), np.empty(gram.shape[0])
-    coupling = 0.0
-    if active.size:  # neither the kernel nor dgemv takes an empty block
+    if active.size:  # the kernel takes no empty block
         beta[active], inv_diag[active] = spd_solve_with_inverse_diagonal(
             gram[np.ix_(active, active)], tuning[active], cross[active])
-        coupling = matvec(gram[np.ix_(dead, active)], beta[active])
     inv_diag[dead] = 1.0 / (np.diagonal(gram)[dead] + tuning[dead])
-    beta[dead] = (cross[dead] - coupling) * inv_diag[dead]
+    # beta is still zero on the frozen coordinates, so G beta there is G_FA beta_A.
+    beta[dead] = (cross[dead] - matvec(gram, beta)[dead]) * inv_diag[dead]
     return beta, inv_diag
 
 

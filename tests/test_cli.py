@@ -238,6 +238,17 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg)]) == 1
         assert "names must differ" in single_error_line(capsys)
 
+    def test_repeated_external_replicate_fails(self, tmp_path, capsys):
+        # A second row for replicate 0 would otherwise replace the first one.
+        path = tmp_path / "ext.csv"
+        path.write_text("0," + ",".join(["0.5"] * 8) + "\n0," + ",".join(["0.0"] * 8) + "\n")
+        out = tmp_path / "o.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"replicates = 1\nestimators = external:{path}\nout = {out}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "replicate 0 is repeated" in single_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", ["record_timing = maybe", "iterations = 2.5",
                                       "alpha = abc"])
     def test_malformed_config_value_fails(self, tmp_path, capsys, line):

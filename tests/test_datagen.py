@@ -86,6 +86,16 @@ class TestHighDim:
         nz = inst.beta_true[inst.beta_true != 0]
         assert np.all((nz > 0) & (nz < 5))
 
+    @pytest.mark.parametrize("n, p", [(60, 21), (300, 40)])
+    def test_other_size(self, n, p):
+        inst = gen_highdim(5, n, p)
+        assert inst.problem.design.shape == (n, p)
+        assert int(np.sum(inst.beta_true == 0)) == p // 2
+        corr = np.full((p, p), 0.5)
+        np.fill_diagonal(corr, 1.0)
+        expected = correlated_gaussian_rows(corr, n, stream_rng(5, "design"))
+        assert np.array_equal(inst.problem.design, expected)
+
     def test_zero_positions_resampled(self):
         z0 = np.flatnonzero(gen_highdim(0).beta_true == 0)
         z1 = np.flatnonzero(gen_highdim(1).beta_true == 0)

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from gaga import GagaConfig, InvalidInput
-from gaga.datagen import CONSISTENCY, MODEL1, gen_model1, replicate_seed
+from gaga import GagaConfig, InvalidInput, gaga_fit
+from gaga.datagen import CONSISTENCY, MODEL1, gen_highdim, gen_model1, replicate_seed
 from gaga.harness import (
     BENCH_COLUMNS,
     CSV_COLUMNS,
@@ -264,6 +264,34 @@ class TestBenchmark:
         write_rows(out, rows, BENCH_COLUMNS)
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 4
+
+    def test_every_problem_comes_from_gen_highdim(self, monkeypatch):
+        import gaga.datagen
+        import gaga.harness
+
+        drawn = []
+
+        def counting(seed, n, p):
+            inst = gen_highdim(seed, n, p)
+            drawn.append(inst.problem)
+            return inst
+
+        problems = []
+
+        def fit(problem, config):
+            problems.append(problem)
+            return gaga_fit(problem, config)
+
+        monkeypatch.setattr(gaga.datagen, "gen_highdim", counting)
+        monkeypatch.setattr(gaga.harness, "gaga_fit", fit)
+        monkeypatch.setattr(gaga.harness, "gaga_qr_fit", fit)
+        benchmark_timing([10, 20], n=60, repeats=3, base_seed=4)
+        assert len(drawn) == 6
+        assert len(problems) == 12
+        assert all(problem is drawn[i // 2] for i, problem in enumerate(problems))
+        assert [p.design.shape for p in drawn] == [(60, 10)] * 3 + [(60, 20)] * 3
+        assert np.array_equal(
+            drawn[4].design, gen_highdim(replicate_seed(4, 1), 60, 20).problem.design)
 
     def test_p_greater_than_n_rejected(self):
         with pytest.raises(InvalidInput):
