@@ -1,15 +1,17 @@
 """Dense SPD kernel: gram construction and a solve that also returns the
 diagonal of the inverse.
 
-The inverse diagonal comes from the inverse Cholesky factor W = L^-1
-(diag(A^-1)_j = sum_k W_kj^2, since A^-1 = W'W), never from forming the full
-inverse. Up to ``BLOCK`` coordinates, LAPACK factorizes one Fortran-order
-copy of the system and inverts its factor in place. Larger systems build W
-by 2x2 block recursion with BLAS-3 products and never form L (see
-``_inverse_factor_blocks``), with the small case at the leaves. A matrix gram
-is always factorized. A diagonal system is passed as the length-p vector of
-its diagonal, as ``GramSystem`` stores one; it takes the closed form and
-never factorizes.
+Only the active block of a system is factorized: a coordinate whose penalty
+dwarfs its own gram diagonal is frozen and solved by its diagonal. The block
+is gathered once from the gram into the Fortran-order buffers that LAPACK
+and BLAS overwrite. Its inverse diagonal comes from the inverse Cholesky
+factor W = L^-1 (diag(A^-1)_j = sum_k W_kj^2, since A^-1 = W'W), never from
+the full inverse: up to ``BLOCK`` coordinates LAPACK inverts the factor of
+the one buffer in place, and a larger block, gathered as three quadrants,
+builds W by 2x2 block recursion with BLAS-3 products and never forms L (see
+``_inverse_factor_blocks``). A diagonal system is passed as the length-p
+vector of its diagonal, as ``GramSystem`` stores one; it takes the closed
+form and never factorizes.
 """
 
 import numpy as np
@@ -22,6 +24,13 @@ from .types import GramSystem, RegressionProblem
 # recursion (``_inverse_factor``); its leaves, and every smaller system, call
 # LAPACK's Cholesky and triangular inverse directly.
 BLOCK = 128
+
+# A penalty above FREEZE_RATIO times its own X'X diagonal has diverged: its
+# coordinate decouples from the system and leaves the factorization. Leaving
+# out its coupling moves the solution and the inverse diagonal by a relative
+# amount under 1/FREEZE_RATIO, whatever the column's units: 1e6 moved the
+# final coefficients of n <= 150 fits by up to 7e-8, 1e8 by under 1e-9.
+FREEZE_RATIO = 1e8
 
 
 def default_rank_tolerance(gram_diag):
@@ -69,11 +78,16 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     The gram's shape picks the method. A length-p vector is the diagonal of a
     diagonal system and takes the closed form, which keeps orthogonal-design
     trajectories bit-equal to the scalar recursion; ``GramSystem`` stores an
-    exactly diagonal X'X that way. A matrix is always factorized and must be
-    symmetric, as X'X is. Without ``inverse`` the second output is None: one
-    Cholesky factorization and its two triangular solves give s. With it,
-    s = W'W rhs and the inverse diagonal are read off the inverse factor
-    W = L^-1, built by ``_inverse_factor`` above ``BLOCK`` coordinates.
+    exactly diagonal X'X that way. A matrix must be symmetric, as X'X is. A
+    coordinate whose penalty b_j is above ``FREEZE_RATIO`` * G_jj is frozen:
+    only the block A of the others is factorized, and a frozen j gets
+    s_j = (rhs_j - G_jA s_A) / (G_jj + b_j) and inverse diagonal
+    1 / (G_jj + b_j). Without ``inverse`` the second output is None: one
+    Cholesky factorization of the block and its two triangular solves give
+    s_A. With it, s_A = W'W rhs_A and the block's inverse diagonal are read
+    off the inverse factor W = L^-1, built by ``_inverse_factor`` above
+    ``BLOCK`` coordinates. A failed pivot is reported at its coordinate in
+    the whole system.
     """
     gram = np.asarray(gram, dtype=float)
     penalty_diag = np.asarray(penalty_diag, dtype=float)
@@ -84,7 +98,8 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     if np.any(penalty_diag < 0):
         raise InvalidInput("penalty_diag must be nonnegative")
 
-    rank_tolerance = default_rank_tolerance(gram if gram.ndim == 1 else np.diagonal(gram))
+    gram_diag = gram if gram.ndim == 1 else np.diagonal(gram)
+    rank_tolerance = default_rank_tolerance(gram_diag)
 
     if gram.ndim == 1:
         diag = gram + penalty_diag
@@ -93,103 +108,132 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
             raise SingularSystem(pivot=int(bad[0]))
         return rhs / diag, 1.0 / diag
 
-    # A symmetric C-order gram is the transpose of its Fortran-order self, so
-    # every copy below is taken in the order the gram is stored in.
-    if gram.flags.c_contiguous:
-        gram = gram.T
-    if inverse and p > BLOCK:
-        return _solve_by_inverse_factor(gram, penalty_diag, rhs, rank_tolerance)
+    # A coordinate with no positive diagonal stays in the factorization,
+    # which reports it.
+    with np.errstate(over="ignore"):  # a bound that overflows freezes nothing
+        frozen = (penalty_diag > FREEZE_RATIO * gram_diag) & (gram_diag > 0)
+    active = np.flatnonzero(~frozen)
+    sol, inv_diag = np.zeros(p), np.empty(p)
+    if active.size:
+        sol[active], inv_diag[active] = _solve_block(
+            gram, active, penalty_diag, rhs, rank_tolerance, inverse)
+    if active.size < p:
+        dead = np.flatnonzero(frozen)
+        inv_diag[dead] = 1.0 / (gram_diag[dead] + penalty_diag[dead])
+        # sol is still zero on the frozen coordinates, so G sol there is G_FA sol_A.
+        sol[dead] = (rhs[dead] - matvec(gram, sol)[dead]) * inv_diag[dead]
+    return sol, inv_diag if inverse else None
 
-    # One Fortran-order copy, factorized and inverted in place: the caller's
-    # gram is never written.
-    a = np.array(gram, order="F")
-    a[np.diag_indices(p)] += penalty_diag
-    c = _cholesky(a, 0)
-    _check_rank(np.diagonal(c), rank_tolerance)
 
-    sol, info = lapack.dpotrs(c, rhs[:, None], lower=1)
+def _solve_block(gram, index, penalty, rhs, rank_tolerance, inverse):
+    """The solution and the inverse diagonal (NaN without ``inverse``) of
+    the system restricted to the coordinates ``index``; the other arguments
+    are the kernel's."""
+    # A symmetric gram is its own transpose, so every gather reads rows of a
+    # C-order view, in whichever order the gram is stored.
+    rows = gram.T if gram.flags.f_contiguous else gram
+    if inverse and index.size > BLOCK:
+        return _solve_by_inverse_factor(rows, index, penalty, rhs, rank_tolerance)
+    a = _gather(rows, index, index)
+    a[np.diag_indices(index.size)] += penalty[index]
+    c = _cholesky(a, index)
+    _check_rank(np.diagonal(c), rank_tolerance[index], index)
+
+    sol, info = lapack.dpotrs(c, rhs[index, None], lower=1)
     if info != 0:
-        raise SingularSystem(pivot=p - 1, message="triangular solve failed")
+        raise SingularSystem(pivot=int(index[-1]), message="triangular solve failed")
     if not inverse:
-        return sol[:, 0], None
-    linv = _invert_factor(c, 0)
-    inv_diag = np.einsum("ij,ij->j", linv, linv)
-    return sol[:, 0], inv_diag
+        return sol[:, 0], np.nan
+    linv = _invert_factor(c, index)
+    return sol[:, 0], np.einsum("ij,ij->j", linv, linv)
 
 
-def _cholesky(a, offset):
-    """The lower Cholesky factor of ``a``, in place. ``offset`` is the position
-    of a's first coordinate in the kernel's system, where a failed pivot is
+def _gather(rows, row_index, col_index):
+    """S[row_index][:, col_index] as a new Fortran-order array, for the
+    symmetric S whose C-order view is ``rows`` and sorted index arrays: the
+    transpose of a C-order copy of rows[col_index][:, row_index]. A run of
+    consecutive indices (every coordinate, when none is frozen) is copied as
+    a slice."""
+    r, c = row_index, col_index
+    if r[-1] - r[0] < r.size and c[-1] - c[0] < c.size:
+        return np.array(rows[c[0]:c[-1] + 1, r[0]:r[-1] + 1], order="C").T
+    return rows.take(c, axis=0).take(r, axis=1).T
+
+
+def _quadrants(rows, index):
+    """Fortran-order copies of A11, A21 and A22, split at index.size // 2, of
+    A = S[index][:, index] (see ``_gather``)."""
+    h = index.size // 2
+    i1, i2 = index[:h], index[h:]
+    return _gather(rows, i1, i1), _gather(rows, i2, i1), _gather(rows, i2, i2)
+
+
+def _cholesky(a, index):
+    """The lower Cholesky factor of ``a``, in place. ``index`` holds the
+    coordinates of a's rows in the kernel's system, where a failed pivot is
     reported."""
     c, info = lapack.dpotrf(a, lower=1, overwrite_a=1)
     if info > 0:
-        raise SingularSystem(pivot=offset + int(info) - 1)
+        raise SingularSystem(pivot=int(index[info - 1]))
     if info < 0:
         raise InvalidInput(f"illegal argument {-info} to dpotrf")
     return c
 
 
-def _check_rank(pivots, rank_tolerance):
+def _check_rank(pivots, rank_tolerance, index):
     bad = np.flatnonzero(pivots * pivots <= rank_tolerance)
     if bad.size:
-        raise SingularSystem(pivot=int(bad[0]))
+        raise SingularSystem(pivot=int(index[bad[0]]))
 
 
-def _invert_factor(c, offset):
+def _invert_factor(c, index):
     linv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SingularSystem(
-            pivot=offset + int(info) - 1, message="triangular inversion failed")
+            pivot=int(index[info - 1]), message="triangular inversion failed")
     return linv
 
 
-def _inverse_factor(a, offset):
+def _inverse_factor(a, index):
     """W = L^-1, lower triangular, for the Fortran-order SPD matrix whose lower
-    triangle is ``a``; ``a`` is overwritten with W and returned. ``offset``
-    is as in ``_cholesky``."""
+    triangle is ``a``; ``a`` is overwritten with W and returned. ``index`` is
+    as in ``_cholesky``."""
     n = a.shape[0]
     if n <= BLOCK:
-        return _invert_factor(_cholesky(a, offset), offset)
+        return _invert_factor(_cholesky(a, index), index)
     h = n // 2
-    w11, w21, w22 = _inverse_factor_blocks(*_quadrants(a), offset)
+    w11, w21, w22 = _inverse_factor_blocks(*_quadrants(a.T, np.arange(n)), index)
     a[:h, :h], a[h:, :h], a[h:, h:], a[:h, h:] = w11, w21, w22, 0.0
     return a
 
 
-def _quadrants(a):
-    """Fortran-order copies of A11, A21 and A22, split at n // 2, of a matrix
-    stored in Fortran order or given as a Fortran-order view."""
-    h = a.shape[0] // 2
-    return (np.array(a[:h, :h], order="F"), np.array(a[h:, :h], order="F"),
-            np.array(a[h:, h:], order="F"))
-
-
-def _inverse_factor_blocks(a11, a21, a22, offset):
+def _inverse_factor_blocks(a11, a21, a22, index):
     """The blocks W11, W21, W22 of W = L^-1 for the SPD matrix [[A11, A21'],
     [A21, A22]], given as Fortran-order quadrants (the diagonal ones read
     in their lower triangle), which are overwritten.
 
     With L11 = W11^-1 and M = L21 = A21 W11', the Schur complement is
     S = A22 - M M' = L22 L22', so W22 = L22^-1 and W21 = -W22 M W11."""
-    w11 = _inverse_factor(a11, offset)
+    w11 = _inverse_factor(a11, index)
     m = blas.dtrmm(1.0, w11, a21, side=1, lower=1, trans_a=1, overwrite_b=1)
     s = blas.dsyrk(-1.0, m, beta=1.0, c=a22, lower=1, overwrite_c=1)
     m = blas.dtrmm(1.0, w11, m, side=1, lower=1, overwrite_b=1)
-    w22 = _inverse_factor(s, offset + w11.shape[0])
+    w22 = _inverse_factor(s, index[w11.shape[0]:])
     w21 = blas.dtrmm(-1.0, w22, m, lower=1, overwrite_b=1)
     return w11, w21, w22
 
 
-def _solve_by_inverse_factor(gram, penalty_diag, rhs, rank_tolerance):
+def _solve_by_inverse_factor(rows, index, penalty, rhs, rank_tolerance):
     """The solution W'W rhs and the column sums of squares of W, block by
     block, so that W is never assembled."""
-    a11, a21, a22 = _quadrants(gram)
+    a11, a21, a22 = _quadrants(rows, index)
     h = a11.shape[0]
-    a11[np.diag_indices(h)] += penalty_diag[:h]
-    a22[np.diag_indices(a22.shape[0])] += penalty_diag[h:]
-    w11, w21, w22 = _inverse_factor_blocks(a11, a21, a22, 0)
+    penalty, rhs = penalty[index], rhs[index]
+    a11[np.diag_indices(h)] += penalty[:h]
+    a22[np.diag_indices(a22.shape[0])] += penalty[h:]
+    w11, w21, w22 = _inverse_factor_blocks(a11, a21, a22, index)
     _check_rank(1.0 / np.concatenate((np.diagonal(w11), np.diagonal(w22))),
-                rank_tolerance)
+                rank_tolerance[index], index)
 
     z1 = matvec(w11, rhs[:h])
     z2 = matvec(w21, rhs[:h]) + matvec(w22, rhs[h:])

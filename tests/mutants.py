@@ -16,7 +16,7 @@ it, and the run says so without failing. The exit code is 1 when a mutant
 that should be killed survives, when a mutant's old text is not found exactly
 once (the catalogue has gone stale), or when a named test fails on the
 unmutated copy. Names on the command line run only those mutants. Not part
-of tier-1: the whole catalogue takes about a minute on two cores.
+of tier-1: the whole catalogue takes about a minute and a half on two cores.
 """
 
 import os
@@ -46,16 +46,36 @@ ORACLE = "tests/test_oracle.py::test_plain_fit_matches_oracle"
 RECURSION = "tests/test_linalg.py::TestInverseFactorRecursion"
 SELECTION_FLOOR = ("tests/test_selection_theory.py::"
                    "test_false_positive_rate_matches_the_scalar_floor")
+ESTIMATED_FLOOR = ("tests/test_selection_theory.py::"
+                   "test_false_positive_floor_under_estimated_variance")
+FREEZING = "tests/test_linalg.py::TestFreezing"
 
 MUTANTS = (
-    Mutant("frozen coupling dropped", "src/gaga/solver.py",
-           "beta[dead] = (cross[dead] - matvec(gram, beta)[dead]) * inv_diag[dead]",
-           "beta[dead] = cross[dead] * inv_diag[dead]",
-           ("tests/test_solver.py::TestActiveSet::test_frozen_coordinates_match_explicit_inverse",)),
-    Mutant("no freezing", "src/gaga/solver.py",
-           "frozen = tuning > FREEZE_RATIO * float(np.max(gram_system.diagonal))",
-           "frozen = np.zeros(tuning.shape, dtype=bool)",
-           ("tests/test_counts.py::test_plain_fit_counts",)),
+    Mutant("frozen coupling dropped", "src/gaga/linalg.py",
+           "sol[dead] = (rhs[dead] - matvec(gram, sol)[dead]) * inv_diag[dead]",
+           "sol[dead] = rhs[dead] * inv_diag[dead]",
+           (FREEZING + "::test_frozen_coordinates_match_explicit_inverse",)),
+    Mutant("no freezing", "src/gaga/linalg.py",
+           "frozen = (penalty_diag > FREEZE_RATIO * gram_diag) & (gram_diag > 0)",
+           "frozen = np.zeros(p, dtype=bool)",
+           ("tests/test_counts.py::test_plain_fit_counts",
+            FREEZING + "::test_final_solve_factorizes_only_the_active_block")),
+    Mutant("global freeze bound", "src/gaga/linalg.py",
+           "penalty_diag > FREEZE_RATIO * gram_diag",
+           "penalty_diag > FREEZE_RATIO * np.max(gram_diag)",
+           ("tests/test_properties.py::test_plain_fit_scaling_gap_is_roundoff_on_fixed_seeds",)),
+    Mutant("nonpositive diagonal frozen", "src/gaga/linalg.py",
+           " & (gram_diag > 0)", "",
+           ("tests/test_linalg.py::TestSpdSolve::test_non_pd_reports_pivot",)),
+    Mutant("active block gathered from the leading coordinates", "src/gaga/linalg.py",
+           "gram, active, penalty_diag, rhs, rank_tolerance, inverse)",
+           "gram, np.arange(active.size), penalty_diag, rhs, rank_tolerance, inverse)",
+           (FREEZING + "::test_frozen_coordinates_match_explicit_inverse",
+            FREEZING + "::test_frozen_coordinates_above_block")),
+    Mutant("active block pivot reported by its position in the block", "src/gaga/linalg.py",
+           "raise SingularSystem(pivot=int(index[bad[0]]))",
+           "raise SingularSystem(pivot=int(bad[0]))",
+           ("tests/test_solver.py::TestActiveSet::test_active_block_failure_reports_its_coordinate",)),
     # The selection floor's false-positive rate is 0.0167 (z = +0.75) as the
     # code stands, 0.0067 (z = -7.3) at 1.25 alpha and 0.0123 (z = -2.8) at
     # 1.1 alpha. Theory puts 1.1 alpha at about -4.7 standard errors, at the
@@ -70,7 +90,7 @@ MUTANTS = (
            (ORACLE + "[fixed]", ORACLE + "[estimated]")),
     Mutant("sigma^2 dropped from the weight update", "src/gaga/solver.py",
            WEIGHT_UPDATE, "config.alpha / (beta * beta + inv_diag)",
-           (ORACLE + "[estimated]",)),
+           (ORACLE + "[estimated]", ESTIMATED_FLOOR)),
     Mutant("sigma^2 dropped, fixed-mode oracle", "src/gaga/solver.py",
            WEIGHT_UPDATE, "config.alpha / (beta * beta + inv_diag)",
            (ORACLE + "[fixed]",), survives=True),
@@ -80,7 +100,8 @@ MUTANTS = (
            ("tests/test_properties.py::test_plain_fit_is_equivariant_under_column_scaling",
             "tests/test_properties.py::test_qr_fit_runs_on_scaled_designs")),
     Mutant("caller's gram written in place", "src/gaga/linalg.py",
-           'a = np.array(gram, order="F")', "a = np.asfortranarray(gram)",
+           'return np.array(rows[c[0]:c[-1] + 1, r[0]:r[-1] + 1], order="C").T',
+           "return rows[c[0]:c[-1] + 1, r[0]:r[-1] + 1].T",
            ("tests/test_linalg.py::TestSpdSolve::test_in_place_factorization_matches_out_of_place",)),
     Mutant("no block recursion", "src/gaga/linalg.py",
            "BLOCK = 128", "BLOCK = 10**9",

@@ -1,18 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import blas, lapack
 
 from gaga import (
     DimensionError,
+    GagaConfig,
     GramSystem,
     InvalidInput,
     RegressionProblem,
     SingularSystem,
     build_gram,
+    gaga_fit,
 )
 import gaga.linalg
 from gaga.datagen import gen_model1
-from gaga.linalg import BLOCK, inverse_diagonal, is_diagonal, spd_solve_with_inverse_diagonal
+from gaga.linalg import (
+    BLOCK,
+    FREEZE_RATIO,
+    inverse_diagonal,
+    is_diagonal,
+    spd_solve_with_inverse_diagonal,
+)
 
 
 def random_spd(rng, p):
@@ -160,6 +170,130 @@ class TestSpdSolve:
     def test_negative_penalty_rejected(self):
         with pytest.raises(InvalidInput):
             spd_solve_with_inverse_diagonal(np.eye(2), np.array([-1.0, 0.0]), np.ones(2))
+
+
+class TestFreezing:
+    """A coordinate whose penalty is above FREEZE_RATIO times its own gram
+    diagonal leaves the factorization and is solved by its diagonal."""
+
+    @pytest.fixture
+    def factorized(self, monkeypatch):
+        # The order of each Cholesky factorization the kernel runs.
+        sizes = []
+
+        class CountingLapack:
+            def __getattr__(self, name):
+                return getattr(lapack, name)
+
+            def dpotrf(self, a, *args, **kwargs):
+                sizes.append(a.shape[0])
+                return lapack.dpotrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(gaga.linalg, "lapack", CountingLapack())
+        return sizes
+
+    @staticmethod
+    def system(seed=13, n=40, p=6):
+        """A gram with unequal diagonal entries, its X'y and its freeze bounds."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p)) * np.geomspace(0.1, 10.0, p)
+        y = x[:, :2] @ np.array([2.0, -1.0]) + rng.standard_normal(n)
+        g = x.T @ x
+        return g, x.T @ y, FREEZE_RATIO * np.diagonal(g)
+
+    def test_frozen_coordinates_match_explicit_inverse(self, factorized):
+        # Leaving out the coupling to a frozen j changes the solution and the
+        # inverse diagonal by a relative amount under G_jj / b_j < 1/FREEZE_RATIO.
+        g, c, bound = self.system()
+        b = np.array([0.5, 1.0, 2.0 * bound[2], 3.0, 1e3 * bound[4], 1e4 * bound[5]])
+        sol, d = spd_solve_with_inverse_diagonal(g, b, c)
+        assert factorized == [3]
+        full_inv = np.linalg.inv(g + np.diag(b))
+        assert np.allclose(sol, full_inv @ c, rtol=1e-8, atol=0)
+        assert np.allclose(d, np.diagonal(full_inv), rtol=1e-8, atol=0)
+
+    def test_frozen_coordinates_above_block(self, factorized):
+        # An active block above BLOCK is gathered as three quadrants, from a
+        # gram in either storage order, which is read and never written.
+        rng = np.random.default_rng(17)
+        p = 300
+        x = rng.standard_normal((p + 50, p)) * np.geomspace(0.1, 10.0, p)
+        g = x.T @ x
+        b = rng.uniform(0, 2, p)
+        b[::3] = 1e3 * FREEZE_RATIO * np.diagonal(g)[::3]
+        rhs = rng.standard_normal(p)
+        full_inv = np.linalg.inv(g + np.diag(b))
+        for order in ("C", "F"):
+            gram = np.asarray(g, order=order)
+            sol, d = spd_solve_with_inverse_diagonal(gram, b, rhs)
+            assert np.array_equal(gram, g)
+            assert np.allclose(sol, full_inv @ rhs, rtol=1e-8, atol=0)
+            assert np.allclose(d, np.diagonal(full_inv), rtol=1e-8, atol=0)
+        assert factorized and max(factorized) <= BLOCK < p - p // 3
+
+    def test_weight_under_the_bound_rejoins_the_factorization(self, factorized):
+        # The kernel decides from the penalties of each call, so a weight just
+        # under its bound is solved in the factorization again, and the solve
+        # is that of the whole system.
+        g, c, bound = self.system()
+        b = np.array([1.0, 2.0, 3.0, np.nextafter(bound[3], np.inf), 4.0, 5.0])
+        spd_solve_with_inverse_diagonal(g, b, c)
+        b[3] = np.nextafter(bound[3], 0.0)
+        sol, d = spd_solve_with_inverse_diagonal(g, b, c)
+        assert factorized == [5, 6]
+        l_factor, _ = lapack.dpotrf(g + np.diag(b), lower=1)
+        ref_sol, _ = lapack.dpotrs(l_factor, c[:, None], lower=1)
+        linv, _ = lapack.dtrtri(l_factor, lower=1)
+        assert np.array_equal(sol, ref_sol[:, 0])
+        assert np.array_equal(d, np.einsum("ij,ij->j", linv, linv))
+
+    def test_every_coordinate_frozen(self, factorized):
+        # A response of pure noise sends every weight past its bound; those
+        # iterations factorize nothing.
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((30, 4))
+        problem = RegressionProblem(design=x, response=1e-3 * rng.standard_normal(30))
+        est = gaga_fit(problem, GagaConfig(iterations=50, record_trace=True))
+        bound = FREEZE_RATIO * build_gram(problem).diagonal
+        # step k + 1 starts from the weights of step k; the final solve from est.tuning
+        all_frozen = sum(bool(np.all(s.tuning > bound)) for s in est.trace[:-1])
+        all_frozen += bool(np.all(est.tuning > bound))
+        assert all_frozen >= 10
+        assert len(factorized) == 51 - all_frozen  # 50 steps and the final solve
+        assert np.all(np.isfinite(est.coefficients))
+        assert not est.support.any()
+        last = est.trace[-1]
+        assert np.all(np.isfinite(last.beta)) and np.all(last.inv_diag > 0)
+
+    def test_empty_active_set_closed_form(self, factorized):
+        g, c, bound = self.system()
+        b = 10.0 * bound
+        sol, d = spd_solve_with_inverse_diagonal(g, b, c)
+        assert factorized == []
+        assert np.array_equal(d, 1.0 / (np.diagonal(g) + b))
+        assert np.array_equal(sol, c * d)
+
+    def test_final_solve_factorizes_only_the_active_block(self, factorized):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((60, 12))
+        problem = RegressionProblem(design=x, response=x[:, :3] @ [3.0, -2.0, 1.5]
+                                    + rng.standard_normal(60))
+        est = gaga_fit(problem, GagaConfig(iterations=50))
+        active = int(np.sum(est.tuning <= FREEZE_RATIO * build_gram(problem).diagonal))
+        assert 0 < active < problem.p
+        assert factorized[-1] == active
+
+    def test_overflowing_bound_freezes_nothing(self, factorized):
+        # FREEZE_RATIO * G_jj overflows to inf, which no penalty exceeds, and
+        # no warning is raised for it.
+        rng = np.random.default_rng(16)
+        g = 1e301 * random_spd(rng, 4) / 20.0
+        b = np.array([0.0, 1e300, 1e305, 1e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol, d = spd_solve_with_inverse_diagonal(g, b, np.ones(4))
+        assert factorized == [4]
+        assert np.all(np.isfinite(sol)) and np.all(d > 0)
 
 
 class TestInverseFactorRecursion:

@@ -12,8 +12,9 @@ The bounds are the same for every input:
   of the test summary;
 - plain fit: max |coef - ref| <= 1e-8 * max(1, max |ref|), the tolerance of
   the benchmark's reference check. Freezing diverged weights out of the
-  factorization (``solver.FREEZE_RATIO`` = 1e8) moves coefficients by a
-  relative amount of order 1e-8 at worst;
+  factorization (``linalg.FREEZE_RATIO`` = 1e8), in the iterations and the
+  final solve, moves coefficients by a relative amount of order 1e-8 at
+  worst;
 - QR fit: max |coef - ref| <= 100 * cond(X)^2 * eps * max(1, max |ref|).
   The package takes R and Q'y from the gram (CholeskyQR), which is accurate
   to about cond(X)^2 * eps; the oracle uses a Householder QR of the design.

@@ -17,8 +17,8 @@ from gaga import (
     spd_solve_with_inverse_diagonal,
 )
 from gaga import solver
+from gaga.linalg import FREEZE_RATIO
 from gaga.solver import (
-    FREEZE_RATIO,
     estimate_variance_em,
     fit_gram,
     gaga_step,
@@ -91,85 +91,37 @@ def state_with(tuning):
 
 
 def freeze_bound(gs):
-    return FREEZE_RATIO * float(np.max(gs.diagonal))
+    return FREEZE_RATIO * gs.diagonal
 
 
 class TestActiveSet:
-    """Coordinates whose incoming weight is above FREEZE_RATIO * max diag(X'X)
-    leave the factorization."""
-
-    @pytest.fixture
-    def kernel_sizes(self, monkeypatch):
-        sizes = []
-
-        def recording(gram, penalty_diag, rhs, inverse=True):
-            sizes.append(np.shape(gram)[0])
-            return spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse)
-
-        monkeypatch.setattr(solver, "spd_solve_with_inverse_diagonal", recording)
-        return sizes
+    """A step's solve is one kernel call, which freezes every coordinate whose
+    incoming weight is above FREEZE_RATIO * G_jj (tested in test_linalg.py)."""
 
     @pytest.mark.parametrize("mode", [FIXED, ESTIMATED])
     def test_no_frozen_weight_is_the_full_kernel_solve(self, mode):
         gs = dense_system()
-        tuning = [0.0, 1.0, 50.0, 1e3, 0.5 * freeze_bound(gs), freeze_bound(gs)]
+        bound = freeze_bound(gs)
+        tuning = [0.0, 1.0, 50.0, 1e3, 0.5 * bound[4], bound[5]]
         nxt = gaga_step(state_with(tuning), gs, GagaConfig(variance_mode=mode), n_obs=40)
         beta, inv_diag = spd_solve_with_inverse_diagonal(gs.gram, tuning, gs.cross)
         assert np.array_equal(nxt.beta, beta)
         assert np.array_equal(nxt.inv_diag, inv_diag)
 
-    def test_frozen_coordinates_match_explicit_inverse(self, kernel_sizes):
-        # Leaving out the coupling to a frozen j changes beta and D by a
-        # relative amount of order max diag(X'X) / b_j, at most 1/FREEZE_RATIO.
-        gs = dense_system()
-        bound = freeze_bound(gs)
-        tuning = np.array([0.5, 1.0, 2.0 * bound, 3.0, 1e3 * bound, 1e4 * bound])
-        nxt = gaga_step(state_with(tuning), gs, GagaConfig(), n_obs=40)
-        assert kernel_sizes == [3]
-        full_inv = np.linalg.inv(gs.gram + np.diag(tuning))
-        assert np.allclose(nxt.beta, full_inv @ gs.cross, rtol=1e-8, atol=0)
-        assert np.allclose(nxt.inv_diag, np.diagonal(full_inv), rtol=1e-8, atol=0)
-
-    def test_weight_back_under_the_bound_rejoins_the_factorization(self, kernel_sizes):
-        # The frozen set is recomputed from each step's incoming weights, so
-        # a weight just under the bound is solved in the active block again.
-        gs = dense_system()
-        bound = freeze_bound(gs)
-        frozen = gaga_step(state_with([1.0, 2.0, 3.0, 2.0 * bound, 4.0, 5.0]),
-                           gs, GagaConfig(), n_obs=40)
-        below = frozen.tuning.copy()
-        below[3] = np.nextafter(bound, 0.0)
-        nxt = gaga_step(state_with(below), gs, GagaConfig(), n_obs=40)
-        assert kernel_sizes == [5, 6]
-        beta, inv_diag = spd_solve_with_inverse_diagonal(gs.gram, below, gs.cross)
-        assert np.array_equal(nxt.beta, beta)
-        assert np.array_equal(nxt.inv_diag, inv_diag)
-
-    def test_every_coordinate_frozen(self, kernel_sizes):
-        # A response of pure noise sends every weight past the bound; those
-        # iterations solve no system at all.
-        rng = np.random.default_rng(14)
+    def test_active_block_failure_reports_its_coordinate(self):
+        # Columns 2 and 3 are equal and coordinate 0 is frozen, so the active
+        # block [1, 2, 3] fails at its third pivot: coordinate 3, as in the
+        # factorization of the whole system.
+        rng = np.random.default_rng(30)
         x = rng.standard_normal((30, 4))
-        problem = RegressionProblem(design=x, response=1e-3 * rng.standard_normal(30))
-        est = gaga_fit(problem, GagaConfig(iterations=50, record_trace=True))
-        bound = freeze_bound(build_gram(problem))
-        # step k + 1 starts from the weights of step k
-        all_frozen = sum(bool(np.all(s.tuning > bound)) for s in est.trace[:-1])
-        assert all_frozen >= 10
-        assert len(kernel_sizes) == 51 - all_frozen  # 50 steps and the final solve
-        assert np.all(np.isfinite(est.coefficients))
-        assert not est.support.any()
-        last = est.trace[-1]
-        assert np.all(np.isfinite(last.beta)) and np.all(last.inv_diag > 0)
-
-    def test_empty_active_set_closed_form(self, kernel_sizes):
-        gs = dense_system()
-        tuning = np.full(6, 10.0 * freeze_bound(gs))
-        nxt = gaga_step(state_with(tuning), gs, GagaConfig(), n_obs=40)
-        assert kernel_sizes == []
-        d = 1.0 / (np.diagonal(gs.gram) + tuning)
-        assert np.array_equal(nxt.inv_diag, d)
-        assert np.array_equal(nxt.beta, gs.cross * d)
+        x[:, 3] = x[:, 2]
+        gs = build_gram(RegressionProblem(design=x, response=rng.standard_normal(30)))
+        with pytest.raises(SingularSystem) as whole:
+            spd_solve_with_inverse_diagonal(gs.gram, np.zeros(4), gs.cross)
+        tuning = [1e3 * FREEZE_RATIO * np.max(gs.diagonal), 0.0, 0.0, 0.0]
+        with pytest.raises(SingularSystem) as step:
+            gaga_step(state_with(tuning), gs, GagaConfig(), n_obs=30)
+        assert step.value.pivot == whole.value.pivot == 3
 
 
 class TestVarianceEstimates:
