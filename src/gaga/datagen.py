@@ -11,6 +11,7 @@ the others. Per-replicate seeds come from
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .errors import InvalidCorrelation, InvalidInput, InvalidSize
 from .types import RegressionProblem
@@ -52,14 +53,24 @@ def _open_uniform(rng, low, high, size=None):
 
 
 def correlated_gaussian_rows(correlation, n: int, rng) -> np.ndarray:
-    """n i.i.d. zero-mean Gaussian rows with the given correlation matrix."""
+    """n i.i.d. zero-mean Gaussian rows with the given correlation matrix.
+
+    Holds one n x p output and one p x p factor L: the normals z are drawn
+    straight into the output x, whose transpose is the Fortran-order z', and
+    ``dtrmm`` overwrites that with L z', so x becomes z L'."""
     correlation = np.asarray(correlation, dtype=float)
-    try:
-        chol = np.linalg.cholesky(correlation)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidCorrelation("correlation matrix is not positive definite") from exc
-    z = rng.standard_normal((n, correlation.shape[0]))
-    return z @ chol.T
+    if correlation.ndim != 2 or correlation.shape[0] != correlation.shape[1]:
+        raise InvalidCorrelation(f"correlation matrix must be square, not {correlation.shape}")
+    if not np.isfinite(correlation).all():
+        raise InvalidCorrelation("correlation matrix has a non-finite entry")
+    if n < 0:
+        raise InvalidSize(f"need n >= 0, got {n}")
+    chol, info = lapack.dpotrf(correlation.T, lower=1, clean=1)
+    # A factor entry that overflowed leaves a NaN pivot, which LAPACK passes.
+    if info != 0 or not np.isfinite(np.diagonal(chol)).all():
+        raise InvalidCorrelation("correlation matrix is not positive definite")
+    x = rng.standard_normal((n, correlation.shape[0]))
+    return blas.dtrmm(1.0, chol, x.T, lower=1, overwrite_b=1).T
 
 
 def _assemble(seed, model_tag, x, beta):
@@ -148,7 +159,7 @@ def gen_orthogonal(seed: int, n: int, p: int, beta_true, sigma_star) -> Generate
         raise InvalidInput("sigma_star must be positive")
     g = stream_rng(seed, "design").standard_normal((n, p))
     q, r = np.linalg.qr(g, mode="reduced")
-    q = q * np.where(np.diagonal(r) < 0, -1.0, 1.0)
-    x = q * np.sqrt(n * sigma_star)
-    return _assemble(seed, "orthogonal", x, beta_true)
+    q *= np.where(np.diagonal(r) < 0, -1.0, 1.0)
+    q *= np.sqrt(n * sigma_star)
+    return _assemble(seed, "orthogonal", q, beta_true)
 

@@ -118,6 +118,17 @@ MUTANTS = (
            "ols = np.linalg.solve(gs.gram, gs.cross)",
            ("tests/test_counts.py::test_qr_fit_counts",
             "tests/test_counts.py::test_per_layer_record_has_no_null[gaga.qr-gaga_qr_fit]")),
+    Mutant("design multiplied out of place", "src/gaga/datagen.py",
+           "blas.dtrmm(1.0, chol, x.T, lower=1, overwrite_b=1)",
+           "blas.dtrmm(1.0, chol, x.T, lower=1, overwrite_b=0)",
+           ("tests/test_counts.py::test_correlated_design_peak_memory",)),
+    Mutant("non-finite correlation accepted", "src/gaga/datagen.py",
+           "if not np.isfinite(correlation).all():", "if False:",
+           ("tests/test_datagen.py::TestCorrelatedRows::test_non_finite_rejected",)),
+    Mutant("overflowing factor accepted", "src/gaga/datagen.py",
+           " or not np.isfinite(np.diagonal(chol)).all()", "",
+           ("tests/test_properties.py::"
+            "test_every_correlation_gives_finite_rows_or_a_typed_error",)),
     Mutant("usage error left to argparse", "src/gaga/cli.py",
            "raise InvalidInput(message)", "super().error(message)",
            ("tests/test_cli.py::TestUsageErrors::test_one_line_invalid_input",)),

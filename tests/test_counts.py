@@ -1,4 +1,5 @@
-"""Exact resource counts of one fit, read through the benchmark's own tracer.
+"""Exact resource counts of one fit, read through the benchmark's own tracer,
+and the memory peak of one generated design.
 
 Fit timings drift by about ten percent from run to run, so a small regression
 in the work a fit does cannot be caught by timing. Call counts are exact: these
@@ -21,6 +22,7 @@ import gaga.linalg
 import gaga.qr
 import gaga.solver
 from gaga import GagaConfig, RegressionProblem
+from gaga.datagen import correlated_gaussian_rows, stream_rng
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 K = 50
@@ -98,6 +100,24 @@ def test_plain_fit_peak_memory_above_block():
     problem = _problem(n=400, p=256)
     assert problem.p > gaga.linalg.BLOCK
     assert _peak_per_gram(problem) <= 1.82
+
+
+def test_correlated_design_peak_memory():
+    # About 1.0002 of n*p + p*p floats at 2000 x 300: the n x p output, into
+    # which the normals are drawn and which the triangular product
+    # overwrites, and the p x p Cholesky factor. Normals in an array of their
+    # own and a product out of place read 1.87.
+    n, p = 2000, 300
+    corr = np.where(np.eye(p, dtype=bool), 1.0, 0.5)
+    correlated_gaussian_rows(corr, n, stream_rng(0, "design"))  # warm-up
+    rng = stream_rng(0, "design")
+    tracemalloc.start()
+    try:
+        correlated_gaussian_rows(corr, n, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 8 * (n * p + p * p)
 
 
 def test_qr_fit_counts():

@@ -37,6 +37,47 @@ class TestCorrelatedRows:
         with pytest.raises(InvalidCorrelation):
             correlated_gaussian_rows(bad, 10, stream_rng(0, "design"))
 
+    @pytest.mark.parametrize("bad", [
+        [[np.nan, 0.5], [0.5, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]],
+        [[1.0, np.nan], [0.5, 1.0]],
+        [[1.0, 0.5], [np.nan, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, -np.inf], [-np.inf, 1.0]],
+    ], ids=["nan diagonal", "nan off-diagonal", "nan upper", "nan lower",
+            "inf diagonal", "-inf off-diagonal"])
+    def test_non_finite_rejected(self, bad):
+        # The factorization reads one triangle only, so a NaN in the other
+        # would pass it unseen.
+        with pytest.raises(InvalidCorrelation):
+            correlated_gaussian_rows(np.array(bad), 10, stream_rng(0, "design"))
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))],
+                             ids=["rectangular", "vector", "stack"])
+    def test_non_square_rejected(self, bad):
+        with pytest.raises(InvalidCorrelation):
+            correlated_gaussian_rows(bad, 10, stream_rng(0, "design"))
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(InvalidSize):
+            correlated_gaussian_rows(np.eye(2), -1, stream_rng(0, "design"))
+
+    @pytest.mark.parametrize("p, n", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_design(self, p, n):
+        x = correlated_gaussian_rows(np.eye(p), n, stream_rng(0, "design"))
+        assert x.shape == (n, p)
+
+    def test_matches_textbook_product(self):
+        # The normals times the transposed Cholesky factor, as numpy spells
+        # it; the triangular product sums the same terms in another order.
+        n, p = 1000, 500
+        corr = np.where(np.eye(p, dtype=bool), 1.0, 0.5)
+        z = stream_rng(2, "design").standard_normal((n, p))
+        expected = z @ np.linalg.cholesky(corr).T
+        got = correlated_gaussian_rows(corr, n, stream_rng(2, "design"))
+        assert got.flags.c_contiguous
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
 
 class TestModel1:
     @pytest.mark.parametrize("seed", [0, 1, 99])

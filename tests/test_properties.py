@@ -10,7 +10,9 @@
   equivariant to 1e-13.
 - Column permutation: the plain fit permutes with the columns.
 - Typed failures: on any finite design and response, both fits return
-  finite output or raise a ``GagaError``.
+  finite output or raise a ``GagaError``; on any square correlation matrix,
+  NaN and inf entries included, the design generator returns finite rows or
+  raises ``InvalidCorrelation``.
 - The QR variant fits the scaled designs too. Its support may move, because
   its ordering of the columns by OLS magnitude depends on their units.
 
@@ -24,7 +26,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gaga import ESTIMATED, FIXED, GagaConfig, GagaError, RegressionProblem, gaga_fit, gaga_qr_fit
+from gaga import (ESTIMATED, FIXED, GagaConfig, GagaError, InvalidCorrelation,
+                  RegressionProblem, gaga_fit, gaga_qr_fit)
+from gaga.datagen import correlated_gaussian_rows, stream_rng
 
 TOL = 1e-8
 N, P = 200, 10
@@ -123,3 +127,36 @@ def test_every_finite_input_fits_or_raises_a_typed_error(problem, mode):
             continue
         assert np.isfinite(est.coefficients).all() and np.isfinite(est.tuning).all()
         assert np.isfinite(est.estimated_variance)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square float64 matrices of size <= 6 with any entries; half of them
+    symmetric with a unit diagonal, so that positive definite ones are common."""
+    k = draw(st.integers(0, 6))
+    cells = st.floats() | st.sampled_from([0.0, 0.5, -0.5, 1.0])
+    m = draw(arrays(float, (k, k), elements=cells))
+    if draw(st.booleans()):
+        lower = np.tril(m, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = lower + lower.T + np.eye(k)
+    return m
+
+
+# Not positive definite, but the factor's fourth row overflows to inf and
+# NaN before its pivot is tested, and LAPACK reports success.
+OVERFLOWING_FACTOR = np.array([[1.0, 1.0, 0.0, -1e308],
+                               [1.0, 1e308, 0.0, 1e308],
+                               [0.0, 0.0, 1e308, 1.0],
+                               [-1e308, 1e308, 1.0, 1.0]])
+
+
+@given(corr=square_matrices(), n=st.integers(0, 5), seed=seeds)
+@example(corr=OVERFLOWING_FACTOR, n=3, seed=0)
+def test_every_correlation_gives_finite_rows_or_a_typed_error(corr, n, seed):
+    try:
+        x = correlated_gaussian_rows(corr, n, stream_rng(seed, "design"))
+    except InvalidCorrelation:
+        return
+    assert x.shape == (n, corr.shape[0])
+    assert np.isfinite(x).all()
