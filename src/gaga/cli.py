@@ -31,6 +31,9 @@ def _parse_config_file(path):
             raise InvalidInput(f"bad config line: {line!r}")
         key, value = line.split("=", 1)
         cfg[key.strip()] = value.strip()
+    unknown = sorted(set(cfg) - _CONFIG_KEYS)
+    if unknown:
+        raise InvalidInput(f"unknown config key(s): {', '.join(unknown)}")
     return cfg
 
 
@@ -52,6 +55,9 @@ _SOLVER = (("alpha", float, "alpha"), ("iterations", int, "iterations"),
 _REPLICATES = ("replicates", int, "replicates")
 _SEED = ("base_seed", int, "seed")
 _TIMING = ("record_timing", _record_timing, None)
+# The keys of the README's config table.
+_CONFIG_KEYS = {"model", "estimators", "n", "sample_sizes", "out",
+               *(key for key, _, _ in (*_SOLVER, _REPLICATES, _SEED, _TIMING))}
 
 
 def _given(args, cfg, *fields):
@@ -167,12 +173,13 @@ def _cmd_bench(args):
     return 0
 
 
-def _add_solver_flags(sub):
+def _add_solver_flags(sub, seed=True):
     sub.add_argument("--alpha", type=float, default=None)
     sub.add_argument("--iterations", type=int, default=None)
     sub.add_argument("--variance-mode", choices=["fixed", "estimated"],
                      dest="variance_mode", default=None)
-    sub.add_argument("--seed", type=int, default=None)
+    if seed:
+        sub.add_argument("--seed", type=int, default=None)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,7 +200,7 @@ def build_parser():
                        help="response CSV; omitted = last design column")
     p_fit.add_argument("--qr", action="store_true", help="use the QR variant")
     p_fit.add_argument("--out", required=True)
-    _add_solver_flags(p_fit)
+    _add_solver_flags(p_fit, seed=False)
     p_fit.set_defaults(func=_cmd_fit)
 
     for name, func in (("experiment", _cmd_experiment), ("sweep", _cmd_sweep)):

@@ -26,7 +26,7 @@ class InvalidCorrelation(GagaError):
 
 
 class SingularSystem(GagaError):
-    """Cholesky factorization failed; ``pivot`` is the 0-based failing pivot index."""
+    """A Cholesky factorization failed at the pivot of design column ``pivot``."""
 
     def __init__(self, pivot, message=None):
         self.pivot = pivot
@@ -34,7 +34,7 @@ class SingularSystem(GagaError):
 
 
 class RankDeficient(GagaError):
-    """Design matrix is column rank deficient; ``pivot`` is the offending pivot."""
+    """The QR variant's factor failed at the pivot of design column ``pivot``."""
 
     def __init__(self, pivot, message=None):
         self.pivot = pivot

@@ -33,9 +33,21 @@ BLOCK = 128
 FREEZE_RATIO = 1e8
 
 
-def default_rank_tolerance(gram_diag):
-    """Per coordinate: a pivot^2 within 1e-10 of its own X'X diagonal is rank loss."""
-    return 1e-10 * gram_diag
+def check_rank(pivot_sq, gram_diag, index):
+    """The one rank rule of every Cholesky factor: a squared pivot within 1e-10 of
+    its column's X'X diagonal raises ``SingularSystem`` at its entry of ``index``,
+    the factor's design columns."""
+    bad = np.flatnonzero(pivot_sq <= 1e-10 * gram_diag)
+    if bad.size:
+        raise SingularSystem(pivot=int(index[bad[0]]))
+
+
+def check_factorization(info, index):
+    """Read ``dpotrf``'s ``info`` for a factor of the design columns ``index``."""
+    if info > 0:
+        raise SingularSystem(pivot=int(index[info - 1]))
+    if info < 0:
+        raise InvalidInput(f"illegal argument {-info} to dpotrf")
 
 
 def build_gram(problem: RegressionProblem) -> GramSystem:
@@ -98,16 +110,12 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     if np.any(penalty_diag < 0):
         raise InvalidInput("penalty_diag must be nonnegative")
 
-    gram_diag = gram if gram.ndim == 1 else np.diagonal(gram)
-    rank_tolerance = default_rank_tolerance(gram_diag)
-
     if gram.ndim == 1:
         diag = gram + penalty_diag
-        bad = np.flatnonzero(diag <= rank_tolerance)
-        if bad.size:
-            raise SingularSystem(pivot=int(bad[0]))
+        check_rank(diag, gram, range(p))
         return rhs / diag, 1.0 / diag
 
+    gram_diag = np.diagonal(gram)
     # A coordinate with no positive diagonal stays in the factorization,
     # which reports it.
     with np.errstate(over="ignore"):  # a bound that overflows freezes nothing
@@ -116,7 +124,7 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     sol, inv_diag = np.zeros(p), np.empty(p)
     if active.size:
         sol[active], inv_diag[active] = _solve_block(
-            gram, active, penalty_diag, rhs, rank_tolerance, inverse)
+            gram, active, penalty_diag, rhs, inverse)
     if active.size < p:
         dead = np.flatnonzero(frozen)
         inv_diag[dead] = 1.0 / (gram_diag[dead] + penalty_diag[dead])
@@ -125,7 +133,7 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     return sol, inv_diag if inverse else None
 
 
-def _solve_block(gram, index, penalty, rhs, rank_tolerance, inverse):
+def _solve_block(gram, index, penalty, rhs, inverse):
     """The solution and the inverse diagonal (NaN without ``inverse``) of
     the system restricted to the coordinates ``index``; the other arguments
     are the kernel's."""
@@ -133,11 +141,11 @@ def _solve_block(gram, index, penalty, rhs, rank_tolerance, inverse):
     # C-order view, in whichever order the gram is stored.
     rows = gram.T if gram.flags.f_contiguous else gram
     if inverse and index.size > BLOCK:
-        return _solve_by_inverse_factor(rows, index, penalty, rhs, rank_tolerance)
+        return _solve_by_inverse_factor(rows, index, penalty, rhs)
     a = _gather(rows, index, index)
     a[np.diag_indices(index.size)] += penalty[index]
     c = _cholesky(a, index)
-    _check_rank(np.diagonal(c), rank_tolerance[index], index)
+    check_rank(np.diagonal(c) ** 2, np.diagonal(rows)[index], index)
 
     sol, info = lapack.dpotrs(c, rhs[index, None], lower=1)
     if info != 0:
@@ -169,21 +177,11 @@ def _quadrants(rows, index):
 
 
 def _cholesky(a, index):
-    """The lower Cholesky factor of ``a``, in place. ``index`` holds the
-    coordinates of a's rows in the kernel's system, where a failed pivot is
-    reported."""
+    """The lower Cholesky factor of ``a``, whose rows are the design columns
+    ``index``, in place."""
     c, info = lapack.dpotrf(a, lower=1, overwrite_a=1)
-    if info > 0:
-        raise SingularSystem(pivot=int(index[info - 1]))
-    if info < 0:
-        raise InvalidInput(f"illegal argument {-info} to dpotrf")
+    check_factorization(info, index)
     return c
-
-
-def _check_rank(pivots, rank_tolerance, index):
-    bad = np.flatnonzero(pivots * pivots <= rank_tolerance)
-    if bad.size:
-        raise SingularSystem(pivot=int(index[bad[0]]))
 
 
 def _invert_factor(c, index):
@@ -223,7 +221,7 @@ def _inverse_factor_blocks(a11, a21, a22, index):
     return w11, w21, w22
 
 
-def _solve_by_inverse_factor(rows, index, penalty, rhs, rank_tolerance):
+def _solve_by_inverse_factor(rows, index, penalty, rhs):
     """The solution W'W rhs and the column sums of squares of W, block by
     block, so that W is never assembled."""
     a11, a21, a22 = _quadrants(rows, index)
@@ -232,8 +230,8 @@ def _solve_by_inverse_factor(rows, index, penalty, rhs, rank_tolerance):
     a11[np.diag_indices(h)] += penalty[:h]
     a22[np.diag_indices(a22.shape[0])] += penalty[h:]
     w11, w21, w22 = _inverse_factor_blocks(a11, a21, a22, index)
-    _check_rank(1.0 / np.concatenate((np.diagonal(w11), np.diagonal(w22))),
-                rank_tolerance[index], index)
+    check_rank((1.0 / np.concatenate((np.diagonal(w11), np.diagonal(w22)))) ** 2,
+               np.diagonal(rows)[index], index)
 
     z1 = matvec(w11, rhs[:h])
     z2 = matvec(w21, rhs[:h]) + matvec(w22, rhs[h:])

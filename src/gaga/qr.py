@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .errors import InvalidInput, RankDeficient, SingularSystem
-from .linalg import build_gram, default_rank_tolerance, spd_solve_with_inverse_diagonal
+from .linalg import build_gram, check_factorization, check_rank, spd_solve_with_inverse_diagonal
 from .solver import fit_gram
 from .types import GagaConfig, GramSystem, RegressionProblem, SignalEstimate
 
@@ -29,13 +29,13 @@ def _ols_permutation(problem: RegressionProblem):
         raise RankDeficient(pivot=exc.pivot) from exc
     # Stable sort keeps original order on |ols| ties.
     perm = np.argsort(-np.abs(ols), kind="stable")
-    return gs, perm, default_rank_tolerance(gs.diagonal)
+    return gs, perm
 
 
-def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
+def _cholesky_qr(gram_system: GramSystem, perm):
     """R (upper triangle only; the lower one is not cleared) and Q'y of the
     column-permuted design from its gram alone: R'R = P'X'XP, Q'y = R^-T P'X'y.
-    ``rank_tolerance`` is per coordinate, in the unpermuted order."""
+    The kernel's rank rule judges R; a failed pivot is named by its design column."""
     gram = gram_system.gram
     if gram.ndim == 1:  # an orthogonal design
         gram = np.diag(gram)
@@ -43,14 +43,11 @@ def _cholesky_qr(gram_system: GramSystem, perm, rank_tolerance):
     # order LAPACK factorizes in place, without another p×p copy.
     permuted = gram[np.ix_(perm, perm)].T
     r, info = lapack.dpotrf(permuted, lower=0, overwrite_a=1)
-    if info > 0:
-        raise RankDeficient(pivot=int(info) - 1)
-    if info < 0:
-        raise InvalidInput(f"illegal argument {-info} to dpotrf")
-    pivots = np.diagonal(r)
-    small = np.flatnonzero(pivots * pivots <= rank_tolerance[perm])
-    if small.size:
-        raise RankDeficient(pivot=int(small[0]))
+    try:
+        check_factorization(info, perm)
+        check_rank(np.diagonal(r) ** 2, gram_system.diagonal[perm], perm)
+    except SingularSystem as exc:
+        raise RankDeficient(pivot=exc.pivot) from exc
     qty, info = lapack.dtrtrs(r, gram_system.cross[perm], lower=0, trans=1)
     if info != 0:
         raise InvalidInput(f"triangular solve for Q'y failed (info={info})")
@@ -69,14 +66,10 @@ def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = None) -> Signal
     """
     if config is None:
         config = GagaConfig()
-    gs, perm, rank_tolerance = _ols_permutation(problem)
+    gs, perm = _ols_permutation(problem)
     p = problem.p
-    r_factor, qty = _cholesky_qr(gs, perm, rank_tolerance)
-    inner = GramSystem(
-        gram=np.ones(p),
-        cross=qty,
-        response_sq_norm=gs.response_sq_norm,
-    )
+    r_factor, qty = _cholesky_qr(gs, perm)
+    inner = GramSystem(gram=np.ones(p), cross=qty, response_sq_norm=gs.response_sq_norm)
     theta = fit_gram(inner, problem.n, config)
     beta_new = solve_triangular(r_factor, theta.coefficients, lower=False)
     snap = 1e-12 * np.max(np.abs(beta_new), initial=0.0)

@@ -49,6 +49,7 @@ SELECTION_FLOOR = ("tests/test_selection_theory.py::"
 ESTIMATED_FLOOR = ("tests/test_selection_theory.py::"
                    "test_false_positive_floor_under_estimated_variance")
 FREEZING = "tests/test_linalg.py::TestFreezing"
+QR_PIVOT = "tests/test_qr.py::TestCholeskyQr::test_failed_pivot_is_named_by_its_design_column"
 
 MUTANTS = (
     Mutant("frozen coupling dropped", "src/gaga/linalg.py",
@@ -68,14 +69,20 @@ MUTANTS = (
            " & (gram_diag > 0)", "",
            ("tests/test_linalg.py::TestSpdSolve::test_non_pd_reports_pivot",)),
     Mutant("active block gathered from the leading coordinates", "src/gaga/linalg.py",
-           "gram, active, penalty_diag, rhs, rank_tolerance, inverse)",
-           "gram, np.arange(active.size), penalty_diag, rhs, rank_tolerance, inverse)",
+           "gram, active, penalty_diag, rhs, inverse)",
+           "gram, np.arange(active.size), penalty_diag, rhs, inverse)",
            (FREEZING + "::test_frozen_coordinates_match_explicit_inverse",
             FREEZING + "::test_frozen_coordinates_above_block")),
-    Mutant("active block pivot reported by its position in the block", "src/gaga/linalg.py",
+    # The one rank check judges both fits' factors, so both tests see it.
+    Mutant("failed pivot reported by its position in the factor", "src/gaga/linalg.py",
            "raise SingularSystem(pivot=int(index[bad[0]]))",
            "raise SingularSystem(pivot=int(bad[0]))",
-           ("tests/test_solver.py::TestActiveSet::test_active_block_failure_reports_its_coordinate",)),
+           ("tests/test_solver.py::TestActiveSet::test_active_block_failure_reports_its_coordinate",
+            QR_PIVOT)),
+    Mutant("QR pivot reported by its permuted position", "src/gaga/qr.py",
+           "check_rank(np.diagonal(r) ** 2, gram_system.diagonal[perm], perm)",
+           "check_rank(np.diagonal(r) ** 2, gram_system.diagonal[perm], np.arange(perm.size))",
+           (QR_PIVOT,)),
     # The selection floor's false-positive rate is 0.0167 (z = +0.75) as the
     # code stands, 0.0067 (z = -7.3) at 1.25 alpha and 0.0123 (z = -2.8) at
     # 1.1 alpha. Theory puts 1.1 alpha at about -4.7 standard errors, at the
@@ -94,9 +101,9 @@ MUTANTS = (
     Mutant("sigma^2 dropped, fixed-mode oracle", "src/gaga/solver.py",
            WEIGHT_UPDATE, "config.alpha / (beta * beta + inv_diag)",
            (ORACLE + "[fixed]",), survives=True),
-    Mutant("global rank tolerance", "src/gaga/linalg.py",
-           "return 1e-10 * gram_diag",
-           "return np.full_like(gram_diag, 1e-10 * np.max(gram_diag))",
+    Mutant("rank rule against the largest diagonal of the factor", "src/gaga/linalg.py",
+           "pivot_sq <= 1e-10 * gram_diag",
+           "pivot_sq <= 1e-10 * np.max(gram_diag)",
            ("tests/test_properties.py::test_plain_fit_is_equivariant_under_column_scaling",
             "tests/test_properties.py::test_qr_fit_runs_on_scaled_designs")),
     Mutant("caller's gram written in place", "src/gaga/linalg.py",
@@ -132,6 +139,12 @@ MUTANTS = (
     Mutant("usage error left to argparse", "src/gaga/cli.py",
            "raise InvalidInput(message)", "super().error(message)",
            ("tests/test_cli.py::TestUsageErrors::test_one_line_invalid_input",)),
+    Mutant("fit accepts --seed", "src/gaga/cli.py",
+           "_add_solver_flags(p_fit, seed=False)", "_add_solver_flags(p_fit)",
+           ("tests/test_cli.py::TestFit::test_seed_is_a_usage_error",)),
+    Mutant("unknown config key ignored", "src/gaga/cli.py",
+           "    if unknown:\n", "    if False:\n",
+           ("tests/test_cli.py::test_misspelled_config_key_fails",)),
     Mutant("ValueError not caught by main", "src/gaga/cli.py",
            "except (GagaError, OSError, ValueError) as exc:",
            "except (GagaError, OSError) as exc:",

@@ -147,6 +147,14 @@ class TestFit:
         assert self._fit_scaled_design(tmp_path, 1.5e147) == 0
         assert capsys.readouterr().err == ""
 
+    def test_seed_is_a_usage_error(self, saved_instance, tmp_path, capsys):
+        # A fit draws nothing, so a seed would be accepted and ignored.
+        out = tmp_path / "fit.csv"
+        argv = ["fit", "--design", str(saved_instance[1]), "--out", str(out), "--seed", "5"]
+        assert main(argv) == 1
+        assert "--seed" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_overflowing_gram_is_invalid_input(self, tmp_path, capsys):
         assert self._fit_scaled_design(tmp_path, 1e155) == 1
         assert "overflows" in single_error_line(capsys)
@@ -272,6 +280,17 @@ class TestExperiment:
             rows = [r for r in csv.DictReader(fh) if r["status"] != "summary"]
         assert [r["status"] for r in rows if r["estimator"] == "gaga"] == ["LinAlgError"] * 2
         assert [r["status"] for r in rows if r["estimator"] == "gaga_qr"] == ["ok"] * 2
+
+
+@pytest.mark.parametrize("command,lines", [
+    ("experiment", "model = model1\n"), ("sweep", "sample_sizes = 30\n")],
+    ids=["experiment", "sweep"])
+def test_misspelled_config_key_fails(tmp_path, capsys, command, lines):
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "exp.csv"
+    cfg.write_text(f"{lines}replicate = 2\nalpah = 3\nout = {out}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert "unknown config key(s): alpah, replicate" in single_error_line(capsys)
+    assert not out.exists()
 
 
 class TestSweep:

@@ -113,7 +113,9 @@ def test_fit(data):
                                                   False))
             argv += ["--response", str(tmp / "y.csv")]
         argv += flags(iterations=d.value("iterations"))
-        argv += solver_flags(d)
+        # A fit draws no data, so any --seed is a usage error.
+        argv += flags(alpha=d.optional("alpha"), variance_mode=d.optional("variance_mode"),
+                      seed=d.value("seed", [None], ["0"]))
         argv += d.draw(st.sampled_from([[], ["--qr"]]))
         argv += ["--no-such-flag"] if "flag" in d.faults else []
         assert_contract(argv)

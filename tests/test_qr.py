@@ -26,7 +26,7 @@ def orthonormal_problem():
 
 
 def ols_permutation(problem):
-    _, perm, _ = _ols_permutation(problem)
+    _, perm = _ols_permutation(problem)
     return perm
 
 
@@ -195,6 +195,22 @@ class TestCholeskyQr:
         x[:, 2] = x[:, 1]
         with pytest.raises(RankDeficient):
             gaga_qr_fit(RegressionProblem(design=x, response=rng.standard_normal(30)))
+
+    def test_failed_pivot_is_named_by_its_design_column(self):
+        # x2 = x0 + x1 + 1e-5 noise, columns scaled and shuffled. The last
+        # pivot's squared ratio to its X'X diagonal is 1.6e-10 in the design's
+        # own order, which passes the 1e-10 rank rule, and 4.5e-11 in the OLS
+        # order [2, 0, 1], which fails it at permuted position 2: column 1.
+        rng = np.random.default_rng(898)
+        x = rng.standard_normal((30, 3))
+        x[:, 2] = x[:, 0] + x[:, 1] + 1e-5 * rng.standard_normal(30)
+        x *= 10.0 ** rng.uniform(-2, 2, 3)
+        x = x[:, rng.permutation(3)]
+        pr = RegressionProblem(design=x, response=rng.standard_normal(30))
+        assert ols_permutation(pr).tolist() == [2, 0, 1]
+        with pytest.raises(RankDeficient) as exc:
+            gaga_qr_fit(pr)
+        assert exc.value.pivot == 1
 
 
 class TestDiagonalDecidedOnce:
