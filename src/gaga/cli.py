@@ -131,6 +131,8 @@ def _experiment_spec(args, model):
 
 def _cmd_experiment(args):
     spec, out = _experiment_spec(args, datagen.MODEL1)
+    if spec.sample_sizes:
+        raise InvalidInput("sample_sizes belongs to sweep; an experiment runs its model's own n")
     harness.write_rows(out, harness.run_experiment(spec), harness.CSV_COLUMNS)
     return 0
 

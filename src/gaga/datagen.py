@@ -53,19 +53,24 @@ def _open_uniform(rng, low, high, size=None):
 
 
 def correlated_gaussian_rows(correlation, n: int, rng) -> np.ndarray:
-    """n i.i.d. zero-mean Gaussian rows with the given correlation matrix.
+    """n i.i.d. zero-mean Gaussian rows with the given correlation matrix,
+    which is left as it is."""
+    return _rows(np.array(correlation, dtype=float, order="C"), n, rng)
 
-    Holds one n x p output and one p x p factor L: the normals z are drawn
-    straight into the output x, whose transpose is the Fortran-order z', and
-    ``dtrmm`` overwrites that with L z', so x becomes z L'."""
-    correlation = np.asarray(correlation, dtype=float)
+
+def _rows(correlation, n, rng):
+    """``correlated_gaussian_rows`` of a C-order float matrix, which is
+    overwritten by its Cholesky factor L. Holds one n x p output and L: the
+    normals z are drawn straight into the output x, whose transpose is the
+    Fortran-order z', and ``dtrmm`` overwrites that with L z', so x becomes
+    z L'."""
     if correlation.ndim != 2 or correlation.shape[0] != correlation.shape[1]:
         raise InvalidCorrelation(f"correlation matrix must be square, not {correlation.shape}")
     if not np.isfinite(correlation).all():
         raise InvalidCorrelation("correlation matrix has a non-finite entry")
     if n < 0:
         raise InvalidSize(f"need n >= 0, got {n}")
-    chol, info = lapack.dpotrf(correlation.T, lower=1, clean=1)
+    chol, info = lapack.dpotrf(correlation.T, lower=1, clean=1, overwrite_a=1)
     # A factor entry that overflowed leaves a NaN pivot, which LAPACK passes.
     if info != 0 or not np.isfinite(np.diagonal(chol)).all():
         raise InvalidCorrelation("correlation matrix is not positive definite")
@@ -104,7 +109,7 @@ def gen_model2(seed: int) -> GeneratedInstance:
     """n=100, p=40, equicorrelation 0.5; four blocks of 10:
     zeros, U(0,1) repeated, zeros, U(10,100) repeated."""
     n, p = 100, 40
-    x = correlated_gaussian_rows(_equicorrelation(p), n, stream_rng(seed, "design"))
+    x = _rows(_equicorrelation(p), n, stream_rng(seed, "design"))
     crng = stream_rng(seed, "coefficients")
     b1 = float(_open_uniform(crng, 0.0, 1.0))
     b2 = float(_open_uniform(crng, 10.0, 100.0))
@@ -114,7 +119,7 @@ def gen_model2(seed: int) -> GeneratedInstance:
 
 def gen_highdim(seed: int, n: int = 1000, p: int = 500) -> GeneratedInstance:
     """Equicorrelation 0.5; p // 2 randomly placed zeros, the rest U(0,5)."""
-    x = correlated_gaussian_rows(_equicorrelation(p), n, stream_rng(seed, "design"))
+    x = _rows(_equicorrelation(p), n, stream_rng(seed, "design"))
     zero_pos = stream_rng(seed, "support").choice(p, size=p // 2, replace=False)
     beta = _open_uniform(stream_rng(seed, "coefficients"), 0.0, 5.0, size=p)
     beta[zero_pos] = 0.0

@@ -262,7 +262,7 @@ class TheoremValidationReport:
     nonzero_retained: int
 
 
-def validate_theorems(n, replicates, beta_star, sigma_star, config=None,
+def validate_theorems(n, replicates, beta_star, sigma_star, config=GagaConfig(),
                       base_seed=0) -> TheoremValidationReport:
     """Empirical rates on exactly orthogonal designs: how often zero
     coefficients are truncated, how often nonzero ones survive, the KS
@@ -270,8 +270,6 @@ def validate_theorems(n, replicates, beta_star, sigma_star, config=None,
     the median gap between the final tuning weight and its large-sample limit."""
     if replicates < 1:
         raise InvalidInput(f"replicates must be >= 1, got {replicates}")
-    if config is None:
-        config = GagaConfig()
     beta_star = np.asarray(beta_star, dtype=float)
     sigma_star = np.asarray(sigma_star, dtype=float)
     p = beta_star.shape[0]
@@ -318,11 +316,9 @@ def validate_theorems(n, replicates, beta_star, sigma_star, config=None,
 BENCH_COLUMNS = ["p", "n", "estimator", "mean_s", "median_s", "repeats"]
 
 
-def benchmark_timing(dimensions, n, repeats, config=None, base_seed=0):
+def benchmark_timing(dimensions, n, repeats, config=GagaConfig(), base_seed=0):
     """Mean/median wall-clock per fit for the plain and QR solvers on
     ``datagen.gen_highdim(seed, n, p)`` at each p (columns ``BENCH_COLUMNS``)."""
-    if config is None:
-        config = GagaConfig()
     if repeats < 1:
         raise InvalidInput(f"repeats must be >= 1, got {repeats}")
     rows = []

@@ -35,19 +35,19 @@ FREEZE_RATIO = 1e8
 
 def check_rank(pivot_sq, gram_diag, index):
     """The one rank rule of every Cholesky factor: a squared pivot within 1e-10 of
-    its column's X'X diagonal raises ``SingularSystem`` at its entry of ``index``,
-    the factor's design columns."""
-    bad = np.flatnonzero(pivot_sq <= 1e-10 * gram_diag)
+    its column's X'X diagonal, or a NaN one, raises ``SingularSystem`` at its
+    entry of ``index``, the factor's design columns."""
+    bad = np.flatnonzero(~(pivot_sq > 1e-10 * gram_diag))
     if bad.size:
         raise SingularSystem(pivot=int(index[bad[0]]))
 
 
 def check_factorization(info, index):
-    """Read ``dpotrf``'s ``info`` for a factor of the design columns ``index``."""
+    """Read ``dpotrf``'s ``info`` for a factor of the design columns ``index``:
+    a positive one names the failed pivot. (A negative one means an illegal
+    argument, which the scipy wrapper's shape checks rule out.)"""
     if info > 0:
         raise SingularSystem(pivot=int(index[info - 1]))
-    if info < 0:
-        raise InvalidInput(f"illegal argument {-info} to dpotrf")
 
 
 def build_gram(problem: RegressionProblem) -> GramSystem:
@@ -94,12 +94,13 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     coordinate whose penalty b_j is above ``FREEZE_RATIO`` * G_jj is frozen:
     only the block A of the others is factorized, and a frozen j gets
     s_j = (rhs_j - G_jA s_A) / (G_jj + b_j) and inverse diagonal
-    1 / (G_jj + b_j). Without ``inverse`` the second output is None: one
-    Cholesky factorization of the block and its two triangular solves give
-    s_A. With it, s_A = W'W rhs_A and the block's inverse diagonal are read
-    off the inverse factor W = L^-1, built by ``_inverse_factor`` above
-    ``BLOCK`` coordinates. A failed pivot is reported at its coordinate in
-    the whole system.
+    1 / (G_jj + b_j). The block's Cholesky factor L and its two triangular
+    solves (``dpotrs``) give s_A, and with ``inverse`` the block's inverse
+    diagonal comes from W = L^-1, which LAPACK inverts in place. Above
+    ``BLOCK`` coordinates with ``inverse``, ``_inverse_factor`` builds W by
+    block recursion instead, and s_A = W'W rhs_A. Without ``inverse`` the
+    second output is None. A failed pivot is reported at its coordinate in
+    the whole system; a NaN penalty or a non-finite output raises.
     """
     gram = np.asarray(gram, dtype=float)
     penalty_diag = np.asarray(penalty_diag, dtype=float)
@@ -107,29 +108,34 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     p = gram.shape[0]
     if penalty_diag.shape != (p,) or rhs.shape != (p,):
         raise InvalidInput("penalty_diag/rhs shape mismatch with gram")
-    if np.any(penalty_diag < 0):
-        raise InvalidInput("penalty_diag must be nonnegative")
+    if not (penalty_diag >= 0).all():
+        raise InvalidInput("penalty_diag must be nonnegative numbers")
 
     if gram.ndim == 1:
         diag = gram + penalty_diag
         check_rank(diag, gram, range(p))
-        return rhs / diag, 1.0 / diag
-
-    gram_diag = np.diagonal(gram)
-    # A coordinate with no positive diagonal stays in the factorization,
-    # which reports it.
-    with np.errstate(over="ignore"):  # a bound that overflows freezes nothing
-        frozen = (penalty_diag > FREEZE_RATIO * gram_diag) & (gram_diag > 0)
-    active = np.flatnonzero(~frozen)
-    sol, inv_diag = np.zeros(p), np.empty(p)
-    if active.size:
-        sol[active], inv_diag[active] = _solve_block(
-            gram, active, penalty_diag, rhs, inverse)
-    if active.size < p:
-        dead = np.flatnonzero(frozen)
-        inv_diag[dead] = 1.0 / (gram_diag[dead] + penalty_diag[dead])
-        # sol is still zero on the frozen coordinates, so G sol there is G_FA sol_A.
-        sol[dead] = (rhs[dead] - matvec(gram, sol)[dead]) * inv_diag[dead]
+        sol, inv_diag = rhs / diag, 1.0 / diag
+    else:
+        gram_diag = np.diagonal(gram)
+        # A coordinate with no positive diagonal stays in the factorization,
+        # which reports it.
+        with np.errstate(over="ignore"):  # a bound that overflows freezes nothing
+            frozen = (penalty_diag > FREEZE_RATIO * gram_diag) & (gram_diag > 0)
+        active = np.flatnonzero(~frozen)
+        sol, inv_diag = np.zeros(p), np.empty(p)
+        if active.size:
+            sol[active], inv_diag[active] = _solve_block(
+                gram, active, penalty_diag, rhs, inverse)
+        if active.size < p:
+            dead = np.flatnonzero(frozen)
+            inv_diag[dead] = 1.0 / (gram_diag[dead] + penalty_diag[dead])
+            # sol is still zero on the frozen coordinates, so G sol there is G_FA sol_A.
+            sol[dead] = (rhs[dead] - matvec(gram, sol)[dead]) * inv_diag[dead]
+    # O(p) checks for what the rank rule cannot see: a non-finite rhs, a
+    # non-finite gram entry outside the factorized block, or an overflow.
+    if not (np.isfinite(sol).all() and (not inverse or np.isfinite(inv_diag).all())):
+        raise InvalidInput("the solve gave a non-finite value: the gram or rhs has "
+                           "a non-finite entry, or the solution overflows")
     return sol, inv_diag if inverse else None
 
 
@@ -147,13 +153,11 @@ def _solve_block(gram, index, penalty, rhs, inverse):
     c = _cholesky(a, index)
     check_rank(np.diagonal(c) ** 2, np.diagonal(rows)[index], index)
 
-    sol, info = lapack.dpotrs(c, rhs[index, None], lower=1)
-    if info != 0:
-        raise SingularSystem(pivot=int(index[-1]), message="triangular solve failed")
+    sol = lapack.dpotrs(c, rhs[index, None], lower=1)[0][:, 0]
     if not inverse:
-        return sol[:, 0], np.nan
-    linv = _invert_factor(c, index)
-    return sol[:, 0], np.einsum("ij,ij->j", linv, linv)
+        return sol, np.nan
+    linv = lapack.dtrtri(c, lower=1, overwrite_c=1)[0]
+    return sol, np.einsum("ij,ij->j", linv, linv)
 
 
 def _gather(rows, row_index, col_index):
@@ -184,21 +188,13 @@ def _cholesky(a, index):
     return c
 
 
-def _invert_factor(c, index):
-    linv, info = lapack.dtrtri(c, lower=1, overwrite_c=1)
-    if info != 0:
-        raise SingularSystem(
-            pivot=int(index[info - 1]), message="triangular inversion failed")
-    return linv
-
-
 def _inverse_factor(a, index):
     """W = L^-1, lower triangular, for the Fortran-order SPD matrix whose lower
     triangle is ``a``; ``a`` is overwritten with W and returned. ``index`` is
     as in ``_cholesky``."""
     n = a.shape[0]
     if n <= BLOCK:
-        return _invert_factor(_cholesky(a, index), index)
+        return lapack.dtrtri(_cholesky(a, index), lower=1, overwrite_c=1)[0]
     h = n // 2
     w11, w21, w22 = _inverse_factor_blocks(*_quadrants(a.T, np.arange(n)), index)
     a[:h, :h], a[h:, :h], a[h:, h:], a[:h, h:] = w11, w21, w22, 0.0

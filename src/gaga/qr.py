@@ -48,13 +48,10 @@ def _cholesky_qr(gram_system: GramSystem, perm):
         check_rank(np.diagonal(r) ** 2, gram_system.diagonal[perm], perm)
     except SingularSystem as exc:
         raise RankDeficient(pivot=exc.pivot) from exc
-    qty, info = lapack.dtrtrs(r, gram_system.cross[perm], lower=0, trans=1)
-    if info != 0:
-        raise InvalidInput(f"triangular solve for Q'y failed (info={info})")
-    return r, qty
+    return r, lapack.dtrtrs(r, gram_system.cross[perm], lower=0, trans=1)[0]
 
 
-def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = None) -> SignalEstimate:
+def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = GagaConfig()) -> SignalEstimate:
     """Fit in the rotated basis and map the estimate back.
 
     The rotated gram is the identity, so the inner solver runs on the vector
@@ -64,8 +61,6 @@ def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = None) -> Signal
     only from the inner truncation, with sub-roundoff leakage snapped back to
     zero.
     """
-    if config is None:
-        config = GagaConfig()
     gs, perm = _ols_permutation(problem)
     p = problem.p
     r_factor, qty = _cholesky_qr(gs, perm)

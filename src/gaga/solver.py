@@ -153,8 +153,6 @@ def fit_gram(gram_system: GramSystem, n_obs: int, config: GagaConfig) -> SignalE
     return estimate
 
 
-def gaga_fit(problem: RegressionProblem, config: GagaConfig = None) -> SignalEstimate:
+def gaga_fit(problem: RegressionProblem, config: GagaConfig = GagaConfig()) -> SignalEstimate:
     """Fit the full pipeline on a regression problem."""
-    if config is None:
-        config = GagaConfig()
     return fit_gram(build_gram(problem), problem.n, config)

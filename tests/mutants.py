@@ -50,6 +50,8 @@ ESTIMATED_FLOOR = ("tests/test_selection_theory.py::"
                    "test_false_positive_floor_under_estimated_variance")
 FREEZING = "tests/test_linalg.py::TestFreezing"
 QR_PIVOT = "tests/test_qr.py::TestCholeskyQr::test_failed_pivot_is_named_by_its_design_column"
+NON_FINITE = "tests/test_linalg.py::TestNonFiniteInput"
+VALIDATION = "tests/test_solver.py::TestConfigValidation"
 
 MUTANTS = (
     Mutant("frozen coupling dropped", "src/gaga/linalg.py",
@@ -102,8 +104,8 @@ MUTANTS = (
            WEIGHT_UPDATE, "config.alpha / (beta * beta + inv_diag)",
            (ORACLE + "[fixed]",), survives=True),
     Mutant("rank rule against the largest diagonal of the factor", "src/gaga/linalg.py",
-           "pivot_sq <= 1e-10 * gram_diag",
-           "pivot_sq <= 1e-10 * np.max(gram_diag)",
+           "pivot_sq > 1e-10 * gram_diag",
+           "pivot_sq > 1e-10 * np.max(gram_diag)",
            ("tests/test_properties.py::test_plain_fit_is_equivariant_under_column_scaling",
             "tests/test_properties.py::test_qr_fit_runs_on_scaled_designs")),
     Mutant("caller's gram written in place", "src/gaga/linalg.py",
@@ -136,6 +138,55 @@ MUTANTS = (
            " or not np.isfinite(np.diagonal(chol)).all()", "",
            ("tests/test_properties.py::"
             "test_every_correlation_gives_finite_rows_or_a_typed_error",)),
+    Mutant("kernel shape check dropped", "src/gaga/linalg.py",
+           "if penalty_diag.shape != (p,) or rhs.shape != (p,):", "if False:",
+           ("tests/test_linalg.py::TestSpdSolve::test_shape_mismatch_rejected",)),
+    Mutant("NaN penalty accepted", "src/gaga/linalg.py",
+           "if not (penalty_diag >= 0).all():", "if np.any(penalty_diag < 0):",
+           (NON_FINITE + "::test_nan_penalty",)),
+    Mutant("NaN pivot passes the rank rule", "src/gaga/linalg.py",
+           "np.flatnonzero(~(pivot_sq > 1e-10 * gram_diag))",
+           "np.flatnonzero(pivot_sq <= 1e-10 * gram_diag)",
+           (NON_FINITE + "::test_nan_diagonal_system",)),
+    Mutant("non-finite solution returned", "src/gaga/linalg.py",
+           "if not (np.isfinite(sol).all() and (not inverse or np.isfinite(inv_diag).all())):",
+           "if False:",
+           (NON_FINITE + "::test_nan_rhs",
+            NON_FINITE + "::test_nan_gram_entry_of_a_frozen_coordinate",
+            "tests/test_properties.py::test_kernel_gives_finite_output_or_a_typed_error")),
+    Mutant("one-dimensional design accepted", "src/gaga/types.py",
+           "if x.ndim != 2:", "if False:", (VALIDATION + "::test_problem_shape_rejected",)),
+    Mutant("two-dimensional response accepted", "src/gaga/types.py",
+           "if arr.ndim != 1:", "if False:", (VALIDATION + "::test_problem_shape_rejected",)),
+    Mutant("empty problem accepted", "src/gaga/types.py",
+           "if n < 1 or p < 1:", "if False:", (VALIDATION + "::test_problem_shape_rejected",)),
+    Mutant("estimate length mismatch accepted", "src/gaga/types.py",
+           "if not (coef.shape == sup.shape == tun.shape):", "if False:",
+           (VALIDATION + "::test_estimate_tuning_rejected",)),
+    Mutant("negative tuning weight accepted", "src/gaga/types.py",
+           "if np.any(tun < 0):", "if False:", (VALIDATION + "::test_estimate_tuning_rejected",)),
+    Mutant("nonpositive sigma accepted", "src/gaga/fixed_point.py",
+           "if not sigma > 0:", "if False:",
+           ("tests/test_fixed_point.py::TestThreshold::test_invalid_sigma",)),
+    Mutant("negative z accepted", "src/gaga/fixed_point.py",
+           "if z < 0:", "if False:",
+           ("tests/test_fixed_point.py::TestClosedForm::test_negative_z_rejected",)),
+    Mutant("max_iter below one accepted", "src/gaga/fixed_point.py",
+           "if max_iter < 1:", "if False:",
+           ("tests/test_fixed_point.py::TestClassify::test_max_iter_below_one_rejected",)),
+    Mutant("endpoint draw kept", "src/gaga/datagen.py",
+           "while np.any(v == low):", "while False:", ("tests/test_datagen.py::TestOpenUniform",)),
+    Mutant("highdim matrix copied before its factorization", "src/gaga/datagen.py",
+           'x = _rows(_equicorrelation(p), n, stream_rng(seed, "design"))\n    zero_pos',
+           'x = correlated_gaussian_rows(_equicorrelation(p), n, stream_rng(seed, "design"))'
+           "\n    zero_pos",
+           ("tests/test_counts.py::test_highdim_design_peak_memory",)),
+    Mutant("experiment without an output path", "src/gaga/cli.py",
+           "if not out:", "if False:",
+           ("tests/test_cli.py::TestExperiment::test_no_output_path_fails",)),
+    Mutant("experiment ignores sample_sizes", "src/gaga/cli.py",
+           "if spec.sample_sizes:", "if False:",
+           ("tests/test_cli.py::TestExperiment::test_sample_sizes_fails",)),
     Mutant("usage error left to argparse", "src/gaga/cli.py",
            "raise InvalidInput(message)", "super().error(message)",
            ("tests/test_cli.py::TestUsageErrors::test_one_line_invalid_input",)),

@@ -195,6 +195,20 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg), "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_no_output_path_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = model1\nreplicates = 1\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "no output path" in single_error_line(capsys)
+
+    def test_sample_sizes_fails(self, tmp_path, capsys):
+        # Only a sweep reads sample_sizes; an experiment would drop it.
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "exp.csv"
+        cfg.write_text(f"model = model1\nreplicates = 1\nsample_sizes = 30,60\nout = {out}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "sample_sizes" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_bad_config_line(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("model model1\n")

@@ -3,6 +3,7 @@ import pytest
 
 from gaga import InvalidCorrelation, InvalidSize
 from gaga.datagen import (
+    _open_uniform,
     correlated_gaussian_rows,
     gen_consistency,
     gen_highdim,
@@ -177,6 +178,26 @@ class TestOrthogonal:
     def test_n_less_than_p(self):
         with pytest.raises(InvalidSize):
             gen_orthogonal(0, 2, 3, np.zeros(3), np.ones(3))
+
+
+class TestOpenUniform:
+    """A draw of exactly the lower endpoint (probability 2^-53) is redrawn."""
+
+    class Stub:
+        """Hands out the given draws in order, one array per ``uniform`` call."""
+
+        def __init__(self, *draws):
+            self.draws = list(draws)
+
+        def uniform(self, low, high, size=None):
+            return np.asarray(self.draws.pop(0), dtype=float)
+
+    def test_endpoint_redrawn(self):
+        rng = self.Stub([0.0, 0.3, 0.0], [0.9, 0.8, 0.0], [0.7, 0.6, 0.5])
+        assert np.array_equal(_open_uniform(rng, 0.0, 1.0, size=3), [0.9, 0.3, 0.5])
+
+    def test_scalar_endpoint_redrawn(self):
+        assert _open_uniform(self.Stub(10.0, 42.0), 10.0, 100.0) == 42.0
 
 
 class TestStreamsAndSeeds:

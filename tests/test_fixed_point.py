@@ -51,6 +51,11 @@ class TestThreshold:
         with pytest.raises(InvalidAlpha):
             convergence_threshold(1.0, 1.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+    def test_invalid_sigma(self, sigma):
+        with pytest.raises(InvalidInput):
+            convergence_threshold(2.0, sigma)
+
 
 class TestClosedForm:
     def test_is_fixed_point(self):
@@ -67,6 +72,10 @@ class TestClosedForm:
             x = nxt
         assert b == pytest.approx(x, abs=1e-10)
 
+    def test_negative_z_rejected(self):
+        with pytest.raises(InvalidInput):
+            ScalarRegime.from_params(-1.0, 1.0, 2.0)
+
     def test_boundary_value(self):
         alpha, sigma = 2.0, 1.0
         z = convergence_threshold(alpha, sigma)
@@ -80,6 +89,10 @@ class TestClosedForm:
 
 
 class TestClassify:
+    def test_max_iter_below_one_rejected(self):
+        with pytest.raises(InvalidInput):
+            classify_trajectory(ScalarRegime.from_params(10.0, 1.0, 2.0), 0)
+
     def test_convergent(self):
         r = ScalarRegime.from_params(10.0, 1.0, 2.0)
         label, traj = classify_trajectory(r, 500)

@@ -171,6 +171,57 @@ class TestSpdSolve:
         with pytest.raises(InvalidInput):
             spd_solve_with_inverse_diagonal(np.eye(2), np.array([-1.0, 0.0]), np.ones(2))
 
+    @pytest.mark.parametrize("penalty_len, rhs_len", [(2, 3), (3, 4)])
+    def test_shape_mismatch_rejected(self, penalty_len, rhs_len):
+        # A longer rhs would otherwise be cut to the gram's size without a word.
+        with pytest.raises(InvalidInput, match="shape mismatch"):
+            spd_solve_with_inverse_diagonal(
+                np.eye(3), np.zeros(penalty_len), np.ones(rhs_len))
+
+
+@pytest.mark.parametrize("inverse", [True, False])
+@pytest.mark.parametrize("p", [5, 200])  # one LAPACK block; the recursion
+class TestNonFiniteInput:
+    """A NaN anywhere in a system gives a typed error, never a NaN output.
+    The checks are O(p): the penalties, the factor's pivots and the output."""
+
+    @staticmethod
+    def system(p):
+        return random_spd(np.random.default_rng(p), p), np.zeros(p), np.ones(p)
+
+    def test_nan_penalty(self, p, inverse):
+        gram, penalty, rhs = self.system(p)
+        penalty[3] = np.nan
+        with pytest.raises(InvalidInput, match="penalty"):
+            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+
+    def test_nan_rhs(self, p, inverse):
+        gram, penalty, rhs = self.system(p)
+        rhs[3] = np.nan
+        with pytest.raises(InvalidInput, match="non-finite"):
+            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+
+    @pytest.mark.parametrize("i, j", [(3, 1), (3, 3)])
+    def test_nan_gram_entry_is_a_failed_pivot(self, p, inverse, i, j):
+        gram, penalty, rhs = self.system(p)
+        gram[i, j] = gram[j, i] = np.nan
+        with pytest.raises(SingularSystem):
+            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+
+    def test_nan_gram_entry_of_a_frozen_coordinate(self, p, inverse):
+        # The factorization never reads a frozen coordinate's row.
+        gram, penalty, rhs = self.system(p)
+        gram[3, 1] = gram[1, 3] = np.nan
+        penalty[3] = 2 * FREEZE_RATIO * gram[3, 3]
+        with pytest.raises(InvalidInput, match="non-finite"):
+            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+
+    def test_nan_diagonal_system(self, p, inverse):
+        gram, penalty, rhs = np.ones(p), np.zeros(p), np.ones(p)
+        gram[3] = np.nan
+        with pytest.raises(SingularSystem):
+            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+
 
 class TestFreezing:
     """A coordinate whose penalty is above FREEZE_RATIO times its own gram

@@ -10,7 +10,8 @@
   equivariant to 1e-13.
 - Column permutation: the plain fit permutes with the columns.
 - Typed failures: on any finite design and response, both fits return
-  finite output or raise a ``GagaError``; on any square correlation matrix,
+  finite output or raise a ``GagaError``, and so does the kernel on any
+  system, NaN and inf entries included; on any square correlation matrix,
   NaN and inf entries included, the design generator returns finite rows or
   raises ``InvalidCorrelation``.
 - The QR variant fits the scaled designs too. Its support may move, because
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gaga import (ESTIMATED, FIXED, GagaConfig, GagaError, InvalidCorrelation,
-                  RegressionProblem, gaga_fit, gaga_qr_fit)
+                  RegressionProblem, gaga_fit, gaga_qr_fit, spd_solve_with_inverse_diagonal)
 from gaga.datagen import correlated_gaussian_rows, stream_rng
 
 TOL = 1e-8
@@ -127,6 +128,38 @@ def test_every_finite_input_fits_or_raises_a_typed_error(problem, mode):
             continue
         assert np.isfinite(est.coefficients).all() and np.isfinite(est.tuning).all()
         assert np.isfinite(est.estimated_variance)
+
+
+@st.composite
+def kernel_systems(draw):
+    """(gram, penalties, rhs) of size <= 6 with any entries: a diagonal gram
+    as its vector, a symmetric matrix, or, so that solves succeed often,
+    M M' + I."""
+    p = draw(st.integers(1, 6))
+    cells = st.floats() | st.sampled_from([0.0, 1.0, 1e8, 1e150])
+    kind = draw(st.sampled_from(["diagonal", "symmetric", "gram"]))
+    if kind == "diagonal":
+        gram = draw(arrays(float, p, elements=cells))
+    else:
+        m = draw(arrays(float, (p, p), elements=cells))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = (np.where(np.tri(p, dtype=bool), m, m.T) if kind == "symmetric"
+                    else m @ m.T + np.eye(p))
+    # Nonnegative penalties, a few of them above the freeze bound, and the
+    # occasional NaN or negative one.
+    penalties = st.floats(0.0) | st.sampled_from([1e12, np.nan, -1.0])
+    return (gram, draw(arrays(float, p, elements=penalties)),
+            draw(arrays(float, p, elements=cells)))
+
+
+@given(system=kernel_systems(), inverse=st.booleans())
+def test_kernel_gives_finite_output_or_a_typed_error(system, inverse):
+    try:
+        sol, inv_diag = spd_solve_with_inverse_diagonal(*system, inverse=inverse)
+    except GagaError:
+        return
+    assert np.isfinite(sol).all()
+    assert np.isfinite(inv_diag).all() if inverse else inv_diag is None
 
 
 @st.composite

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gaga import (
+    DimensionError,
     ESTIMATED,
     FIXED,
     GagaConfig,
@@ -361,6 +362,25 @@ class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
             GagaConfig(variance_mode="auto")
+
+    @pytest.mark.parametrize("design, response, error", [
+        (np.ones(4), np.ones(4), DimensionError),
+        (np.ones((4, 2)), np.ones((4, 1)), DimensionError),
+        (np.ones((0, 2)), np.ones(0), InvalidInput),
+        (np.ones((4, 0)), np.ones(4), InvalidInput),
+    ])
+    def test_problem_shape_rejected(self, design, response, error):
+        with pytest.raises(error):
+            RegressionProblem(design=design, response=response)
+
+    @pytest.mark.parametrize("tuning, error", [
+        (np.array([1.0, 2.0, 3.0]), DimensionError),
+        (np.array([1.0, -2.0]), InvalidInput),
+    ])
+    def test_estimate_tuning_rejected(self, tuning, error):
+        with pytest.raises(error):
+            SignalEstimate(coefficients=np.array([1.0, 0.0]), support=np.array([True, False]),
+                           tuning=tuning, estimated_variance=1.0)
 
     def test_estimate_invariant_enforced(self):
         with pytest.raises(InvalidInput):
