@@ -1,6 +1,6 @@
 """Check the solver's large-sample guarantees empirically and time it.
 
-First runs replicated fits on exactly orthogonal designs and measures the
+First runs replicated fits on column-orthogonal designs and measures the
 rates at which zero coefficients are truncated and strong coefficients
 survive, how close the standardized estimation errors are to N(0,1), and
 how close the tuning weight sits to its theoretical large-sample limit.

@@ -153,7 +153,8 @@ MODELS = {
 
 
 def gen_orthogonal(seed: int, n: int, p: int, beta_true, sigma_star) -> GeneratedInstance:
-    """Exactly column-orthogonal design with column squared norms n*sigma_star_j."""
+    """Column-orthogonal design with column squared norms n*sigma_star_j, up to
+    roundoff: X'X is not exactly diagonal, so fits on it factorize."""
     beta_true = np.asarray(beta_true, dtype=float)
     sigma_star = np.asarray(sigma_star, dtype=float)
     if n < p:

@@ -33,24 +33,18 @@ def convergence_threshold(alpha: float, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class ScalarRegime:
-    """One coordinate's (z, sigma) pair with its threshold and classification."""
+    """One coordinate's (z, sigma) pair under gain alpha, and its convergence threshold."""
 
     z: float
     sigma: float
     alpha: float
     threshold: float
-    classification: str
-    fixed_point: Optional[float]
 
     @staticmethod
     def from_params(z: float, sigma: float, alpha: float) -> "ScalarRegime":
         if z < 0:
             raise InvalidInput("z must be nonnegative")
-        thr = convergence_threshold(alpha, sigma)
-        if z >= thr:
-            return ScalarRegime(z, sigma, alpha, thr, CONVERGENT,
-                                _closed_form(z, sigma, alpha))
-        return ScalarRegime(z, sigma, alpha, thr, DIVERGENT, None)
+        return ScalarRegime(z, sigma, alpha, convergence_threshold(alpha, sigma))
 
 
 def map_value(x: float, regime: ScalarRegime) -> float:
@@ -59,19 +53,16 @@ def map_value(x: float, regime: ScalarRegime) -> float:
     return regime.alpha * s * s / (s + regime.z)
 
 
-def _closed_form(z, sigma, alpha):
+def closed_form_fixed_point(regime: ScalarRegime) -> Optional[float]:
+    """The stable root of f(b)=b, or None when the recursion diverges."""
+    if regime.z < regime.threshold:
+        return None
+    z, sigma, alpha = regime.z, regime.sigma, regime.alpha
     a = z - (2 * alpha - 1) * sigma
     disc = a * a - 4 * alpha * (alpha - 1) * sigma * sigma
     # Clip tiny negative discriminants at the boundary z == threshold.
     disc = max(disc, 0.0)
     return (a - math.sqrt(disc)) / (2 * (alpha - 1))
-
-
-def closed_form_fixed_point(regime: ScalarRegime) -> Optional[float]:
-    """The stable root of f(b)=b, or None when the recursion diverges."""
-    if regime.z < regime.threshold:
-        return None
-    return _closed_form(regime.z, regime.sigma, regime.alpha)
 
 
 def classify_trajectory(regime: ScalarRegime, max_iter: int):

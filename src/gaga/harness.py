@@ -20,7 +20,7 @@ from .errors import GagaError, InvalidInput
 from .metrics import acc
 from .qr import gaga_qr_fit
 from .solver import gaga_fit
-from .types import GagaConfig
+from .types import GagaConfig, integral
 
 CSV_COLUMNS = [
     "model_tag", "seed", "replicate", "estimator",
@@ -110,7 +110,7 @@ class ExperimentSpec:
     record_timing: bool = False
 
     def __post_init__(self):
-        if self.replicates < 1:
+        if integral(self.replicates, "replicates") < 1:
             raise InvalidInput("replicates must be >= 1")
         if not self.estimators:
             raise InvalidInput("need at least one estimator")
@@ -264,11 +264,11 @@ class TheoremValidationReport:
 
 def validate_theorems(n, replicates, beta_star, sigma_star, config=GagaConfig(),
                       base_seed=0) -> TheoremValidationReport:
-    """Empirical rates on exactly orthogonal designs: how often zero
+    """Empirical rates on ``gen_orthogonal`` designs: how often zero
     coefficients are truncated, how often nonzero ones survive, the KS
     distance of the standardized nonzero-coordinate errors from N(0,1), and
     the median gap between the final tuning weight and its large-sample limit."""
-    if replicates < 1:
+    if integral(replicates, "replicates") < 1:
         raise InvalidInput(f"replicates must be >= 1, got {replicates}")
     beta_star = np.asarray(beta_star, dtype=float)
     sigma_star = np.asarray(sigma_star, dtype=float)
@@ -319,7 +319,7 @@ BENCH_COLUMNS = ["p", "n", "estimator", "mean_s", "median_s", "repeats"]
 def benchmark_timing(dimensions, n, repeats, config=GagaConfig(), base_seed=0):
     """Mean/median wall-clock per fit for the plain and QR solvers on
     ``datagen.gen_highdim(seed, n, p)`` at each p (columns ``BENCH_COLUMNS``)."""
-    if repeats < 1:
+    if integral(repeats, "repeats") < 1:
         raise InvalidInput(f"repeats must be >= 1, got {repeats}")
     rows = []
     for p in dimensions:

@@ -10,11 +10,16 @@ from .errors import DimensionError
 @dataclass(frozen=True)
 class EvaluationReport:
     err: float
-    acc: float
     true_positives: int
     true_negatives: int
     false_positives: int
     false_negatives: int
+
+    @property
+    def acc(self) -> float:
+        """The fraction of positions whose zero/nonzero status is right."""
+        right = self.true_positives + self.true_negatives
+        return right / (right + self.false_positives + self.false_negatives)
 
 
 def _check_lengths(estimate, truth):
@@ -44,10 +49,8 @@ def acc(estimate, truth) -> EvaluationReport:
     tn = int(np.sum(~pred & ~actual))
     fp = int(np.sum(pred & ~actual))
     fn = int(np.sum(~pred & actual))
-    p = estimate.shape[0]
     return EvaluationReport(
         err=err(estimate, truth),
-        acc=(tp + tn) / p,
         true_positives=tp,
         true_negatives=tn,
         false_positives=fp,

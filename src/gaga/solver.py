@@ -115,16 +115,9 @@ def hard_truncate(
     """Zero every coefficient whose square falls below the variance gap
     var * ((X'X)^-1_jj - (X'X + B*)^-1_jj), given both inverse diagonals."""
     beta_star = np.asarray(beta_star, dtype=float)
-    tuning_star = np.asarray(tuning_star, dtype=float)
     threshold = variance * np.subtract(unpenalized_inv_diag, penalized_inv_diag)
-    keep = beta_star * beta_star >= threshold
-    coef = np.where(keep, beta_star, 0.0)
-    return SignalEstimate(
-        coefficients=coef,
-        support=keep,
-        tuning=tuning_star,
-        estimated_variance=variance,
-    )
+    coef = np.where(beta_star * beta_star >= threshold, beta_star, 0.0)
+    return SignalEstimate(coefficients=coef, tuning=tuning_star, estimated_variance=variance)
 
 
 def fit_gram(gram_system: GramSystem, n_obs: int, config: GagaConfig) -> SignalEstimate:

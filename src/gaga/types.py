@@ -1,5 +1,7 @@
 """Shared domain types: problems, solver configuration, estimates."""
 
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -10,6 +12,14 @@ from .errors import DimensionError, InvalidInput
 
 FIXED = "fixed"
 ESTIMATED = "estimated"
+
+
+def integral(value, name) -> int:
+    """``value`` as an int, or ``InvalidInput`` when it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
 
 
 def _as_1d(v, name):
@@ -61,8 +71,10 @@ class GagaConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if self.iterations < 1:
+        if integral(self.iterations, "iterations") < 1:
             raise InvalidInput("iterations must be >= 1")
+        if not isinstance(self.alpha, numbers.Real):
+            raise InvalidInput(f"alpha must be a real number, got {self.alpha!r}")
         if not 1 < self.alpha < np.inf:
             raise InvalidInput("alpha must be finite and > 1")
         if self.variance_mode not in (FIXED, ESTIMATED):
@@ -71,31 +83,30 @@ class GagaConfig:
 
 @dataclass(frozen=True)
 class SignalEstimate:
-    """Final estimate: coefficients after truncation, support mask, per-coefficient
-    tuning weights (b^K / alpha) and the variance used for truncation."""
+    """Final estimate: coefficients after truncation (``support``, the selected
+    model, is their nonzero set), tuning weights b^K / alpha and the truncation variance."""
 
     coefficients: np.ndarray
-    support: np.ndarray
     tuning: np.ndarray
     estimated_variance: float
     trace: Optional[tuple] = None
 
     def __post_init__(self):
         coef = _as_1d(self.coefficients, "coefficients")
-        sup = np.asarray(self.support, dtype=bool)
         tun = _as_1d(self.tuning, "tuning")
-        if not (coef.shape == sup.shape == tun.shape):
-            raise DimensionError("coefficients/support/tuning length mismatch")
+        if coef.shape != tun.shape:
+            raise DimensionError("coefficients/tuning length mismatch")
         if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(tun))
                 and np.isfinite(self.estimated_variance)):
             raise InvalidInput("coefficients, tuning and variance must be finite")
-        if np.any(coef[~sup] != 0.0):
-            raise InvalidInput("coefficients outside the support must be exactly zero")
         if np.any(tun < 0):
             raise InvalidInput("tuning weights must be nonnegative")
         object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "support", sup)
         object.__setattr__(self, "tuning", tun)
+
+    @property
+    def support(self) -> np.ndarray:
+        return self.coefficients != 0.0
 
 
 @dataclass(frozen=True)

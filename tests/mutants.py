@@ -127,6 +127,13 @@ MUTANTS = (
            "ols = np.linalg.solve(gs.gram, gs.cross)",
            ("tests/test_counts.py::test_qr_fit_counts",
             "tests/test_counts.py::test_per_layer_record_has_no_null[gaga.qr-gaga_qr_fit]")),
+    Mutant("QR trace left in OLS order", "src/gaga/qr.py",
+           "estimated_variance=theta.estimated_variance, trace=trace)",
+           "estimated_variance=theta.estimated_variance, trace=theta.trace)",
+           ("tests/test_qr.py::TestGagaQrFit::test_trace_is_in_design_column_order",)),
+    Mutant("QR trace inverse diagonal left in OLS order", "src/gaga/qr.py",
+           "inv_diag=s.inv_diag[design])", "inv_diag=s.inv_diag)",
+           ("tests/test_qr.py::TestGagaQrFit::test_traced_state_is_in_one_order",)),
     Mutant("design multiplied out of place", "src/gaga/datagen.py",
            "blas.dtrmm(1.0, chol, x.T, lower=1, overwrite_b=1)",
            "blas.dtrmm(1.0, chol, x.T, lower=1, overwrite_b=0)",
@@ -161,8 +168,25 @@ MUTANTS = (
     Mutant("empty problem accepted", "src/gaga/types.py",
            "if n < 1 or p < 1:", "if False:", (VALIDATION + "::test_problem_shape_rejected",)),
     Mutant("estimate length mismatch accepted", "src/gaga/types.py",
-           "if not (coef.shape == sup.shape == tun.shape):", "if False:",
+           "if coef.shape != tun.shape:", "if False:",
            (VALIDATION + "::test_estimate_tuning_rejected",)),
+    Mutant("support read as the positive coefficients", "src/gaga/types.py",
+           "return self.coefficients != 0.0", "return self.coefficients > 0.0",
+           (VALIDATION + "::test_support_is_the_nonzero_coefficients",)),
+    Mutant("non-integer count accepted", "src/gaga/types.py",
+           "return operator.index(value)", "return value",
+           (VALIDATION + "::test_iterations_must_be_an_integer",
+            "tests/test_harness.py::TestRunExperiment::test_non_integer_replicates",
+            "tests/test_harness.py::TestValidateTheorems::test_non_integer_replicates",
+            "tests/test_harness.py::TestBenchmark::test_non_integer_repeats")),
+    Mutant("non-real alpha compared", "src/gaga/types.py",
+           "if not isinstance(self.alpha, numbers.Real):", "if False:",
+           (VALIDATION + "::test_alpha_must_be_a_real_number",)),
+    Mutant("ACC without the false negatives", "src/gaga/metrics.py",
+           "right / (right + self.false_positives + self.false_negatives)",
+           "right / (right + self.false_positives)",
+           ("tests/test_metrics.py::TestAcc::test_acc_is_computed_from_the_counts",
+            "tests/test_metrics.py::TestAcc::test_all_zero_estimate")),
     Mutant("negative tuning weight accepted", "src/gaga/types.py",
            "if np.any(tun < 0):", "if False:", (VALIDATION + "::test_estimate_tuning_rejected",)),
     Mutant("nonpositive sigma accepted", "src/gaga/fixed_point.py",

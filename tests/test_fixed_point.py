@@ -85,7 +85,7 @@ class TestClosedForm:
     def test_below_threshold_absent(self):
         r = ScalarRegime.from_params(5.0, 1.0, 2.0)
         assert closed_form_fixed_point(r) is None
-        assert r.classification == DIVERGENT
+        assert classify_trajectory(r, 500)[0] == DIVERGENT
 
 
 class TestClassify:

@@ -120,6 +120,10 @@ class TestRunExperiment:
         with pytest.raises(InvalidInput):
             ExperimentSpec(model=MODEL1, replicates=1, estimators=())
 
+    def test_non_integer_replicates(self):
+        with pytest.raises(InvalidInput, match="replicates must be an integer"):
+            ExperimentSpec(model=MODEL1, replicates=1.5, estimators=(GagaEstimator(),))
+
     def test_unknown_model(self):
         with pytest.raises(InvalidInput):
             generate_instance("nope", 0)
@@ -248,6 +252,10 @@ class TestValidateTheorems:
         assert math.isnan(rep.tuning_limit_error)
         assert 0.0 <= rep.truncation_rate_zero_coef <= 1.0
 
+    def test_non_integer_replicates(self):
+        with pytest.raises(InvalidInput, match="replicates must be an integer"):
+            validate_theorems(50, 1.5, [2.0, 0.0], [1.0, 1.0])
+
     def test_deterministic(self):
         a = validate_theorems(50, 5, [2.0, 0.0], [1.0, 1.0])
         b = validate_theorems(50, 5, [2.0, 0.0], [1.0, 1.0])
@@ -296,6 +304,10 @@ class TestBenchmark:
     def test_p_greater_than_n_rejected(self):
         with pytest.raises(InvalidInput):
             benchmark_timing([100], n=50, repeats=1)
+
+    def test_non_integer_repeats(self):
+        with pytest.raises(InvalidInput, match="repeats must be an integer"):
+            benchmark_timing([10], n=60, repeats=1.5)
 
 
 def test_write_rows_uses_full_precision_floats(tmp_path):

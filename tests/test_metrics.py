@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaga import DimensionError, acc, err
+from gaga import DimensionError, EvaluationReport, acc, err
 
 
 class TestErr:
@@ -43,6 +43,11 @@ class TestAcc:
         truth = np.array([1.0, 0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 0.0])
         rep = acc(np.zeros(8), truth)
         assert rep.acc == 5 / 8
+
+    def test_acc_is_computed_from_the_counts(self):
+        rep = EvaluationReport(err=0.0, true_positives=1, true_negatives=2,
+                               false_positives=3, false_negatives=4)
+        assert rep.acc == 0.3
 
     def test_counts_sum_to_p(self):
         rng = np.random.default_rng(1)

@@ -9,8 +9,9 @@
   leaves the factorization either. On fixed seeds the fit is then
   equivariant to 1e-13.
 - Column permutation: the plain fit permutes with the columns.
-- Typed failures: on any finite design and response, both fits return
-  finite output or raise a ``GagaError``, and so does the kernel on any
+- Typed failures: on any finite design and response, under any config
+  values, of the wrong type included, both fits return finite output or
+  raise a ``GagaError``, and so does the kernel on any
   system, NaN and inf entries included; on any square correlation matrix,
   NaN and inf entries included, the design generator returns finite rows or
   raises ``InvalidCorrelation``.
@@ -119,11 +120,37 @@ def finite_problems(draw):
     return RegressionProblem(design=x, response=y)
 
 
-@given(problem=finite_problems(), mode=modes)
-def test_every_finite_input_fits_or_raises_a_typed_error(problem, mode):
+# Values of the wrong type or range for each config field.
+WRONG_CONFIG_VALUES = {
+    "iterations": st.integers(max_value=0) | st.floats() | st.text(max_size=2) | st.none(),
+    "alpha": (st.integers(max_value=1) | st.floats() | st.text(max_size=2) | st.none()
+              | st.complex_numbers()),
+    "variance_mode": st.integers() | st.text(max_size=3) | st.none(),
+}
+
+
+@st.composite
+def config_values(draw):
+    """GagaConfig keywords: half the time all valid, else one of the wrong
+    type or range."""
+    values = {"iterations": draw(st.integers(1, 20)),
+              "alpha": draw(st.floats(1.0, 8.0, exclude_min=True)),
+              "variance_mode": draw(modes)}
+    wrong = draw(st.sampled_from([None, None, None, *WRONG_CONFIG_VALUES]))
+    if wrong:
+        values[wrong] = draw(WRONG_CONFIG_VALUES[wrong])
+    return values
+
+
+@given(problem=finite_problems(), config=config_values())
+@example(problem=RegressionProblem(design=np.eye(2), response=np.ones(2)),
+         config={"iterations": 2.5, "alpha": 2.0, "variance_mode": FIXED})
+@example(problem=RegressionProblem(design=np.eye(2), response=np.ones(2)),
+         config={"iterations": 20, "alpha": "3", "variance_mode": FIXED})
+def test_every_finite_input_fits_or_raises_a_typed_error(problem, config):
     for fit in (gaga_fit, gaga_qr_fit):
         try:
-            est = fit(problem, GagaConfig(variance_mode=mode, iterations=20))
+            est = fit(problem, GagaConfig(**config))
         except GagaError:
             continue
         assert np.isfinite(est.coefficients).all() and np.isfinite(est.tuning).all()

@@ -12,7 +12,7 @@ from gaga import (
     gaga_fit,
     gaga_qr_fit,
 )
-from gaga.datagen import correlated_gaussian_rows
+from gaga.datagen import correlated_gaussian_rows, gen_model2
 from gaga.metrics import acc
 from gaga.qr import _ols_permutation
 from gaga.solver import fit_gram
@@ -101,6 +101,20 @@ class TestGagaQrFit:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.support, b.support)
         assert np.array_equal(a.tuning, b.tuning)
+
+    @pytest.mark.parametrize("fit", [gaga_fit, gaga_qr_fit])
+    def test_trace_is_in_design_column_order(self, fit):
+        est = fit(gen_model2(3).problem, GagaConfig(record_trace=True))
+        assert np.array_equal(est.trace[-1].tuning, est.tuning * 2.0)
+
+    def test_traced_state_is_in_one_order(self):
+        # Each traced weight is the update of the same state's beta and
+        # inverse diagonal (fixed variance; the inner clamp is 1e12).
+        problem = gen_model2(3).problem
+        assert not np.array_equal(ols_permutation(problem), np.arange(problem.p))
+        for state in gaga_qr_fit(problem, GagaConfig(record_trace=True)).trace:
+            update = np.minimum(1e12, 2.0 / (state.beta * state.beta + state.inv_diag))
+            assert np.array_equal(state.tuning, update)
 
     def test_tail_sparsity_preserved_by_back_substitution(self):
         r = np.array([

@@ -168,9 +168,11 @@ class TestHardTruncate:
     # On an orthonormal design (X'X)^-1_jj = 1 and (X'X + B*)^-1_jj = 1/(1 + b*).
 
     def test_zero_tuning_keeps_everything(self):
-        est = hard_truncate(np.array([0.1, -0.2, 0.0]), np.zeros(3), 1.0,
-                            np.ones(3), np.ones(3))
-        assert est.support.all()
+        beta = np.array([0.1, -0.2, 0.0])
+        est = hard_truncate(beta, np.zeros(3), 1.0, np.ones(3), np.ones(3))
+        assert np.array_equal(est.coefficients, beta)
+        # The support is the nonzero coefficients, so a kept exact zero is not in it.
+        assert list(est.support) == [True, True, False]
 
     def test_orthonormal_hand_threshold(self):
         # b* = 3: threshold = 1 - 1/4 = 0.75
@@ -359,6 +361,20 @@ class TestConfigValidation:
         with pytest.raises(InvalidInput):
             GagaConfig(iterations=0)
 
+    @pytest.mark.parametrize("iterations", [2.5, np.nan, "3", None])
+    def test_iterations_must_be_an_integer(self, iterations):
+        with pytest.raises(InvalidInput, match="iterations must be an integer"):
+            GagaConfig(iterations=iterations)
+
+    @pytest.mark.parametrize("alpha", ["3", None, 3 + 0j])
+    def test_alpha_must_be_a_real_number(self, alpha):
+        with pytest.raises(InvalidInput, match="alpha must be a real number"):
+            GagaConfig(alpha=alpha)
+
+    def test_numpy_scalars_accepted(self):
+        config = GagaConfig(iterations=np.int64(3), alpha=np.float32(2.5))
+        assert gaga_fit(huge_scale_problem(1.0), config).coefficients.shape == (5,)
+
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
             GagaConfig(variance_mode="auto")
@@ -379,13 +395,15 @@ class TestConfigValidation:
     ])
     def test_estimate_tuning_rejected(self, tuning, error):
         with pytest.raises(error):
-            SignalEstimate(coefficients=np.array([1.0, 0.0]), support=np.array([True, False]),
-                           tuning=tuning, estimated_variance=1.0)
+            SignalEstimate(coefficients=np.array([1.0, 0.0]), tuning=tuning,
+                           estimated_variance=1.0)
 
-    def test_estimate_invariant_enforced(self):
-        with pytest.raises(InvalidInput):
-            SignalEstimate(coefficients=np.array([1.0]), support=np.array([False]),
-                           tuning=np.array([0.0]), estimated_variance=1.0)
+    def test_support_is_the_nonzero_coefficients(self):
+        est = SignalEstimate(coefficients=np.array([1.0, 0.0, -0.0, -2.0]), tuning=np.zeros(4),
+                             estimated_variance=1.0)
+        assert list(est.support) == [True, False, False, True]
+        with pytest.raises(AttributeError):
+            est.support = np.ones(4, dtype=bool)
 
     @pytest.mark.parametrize("field, value", [
         ("coefficients", np.array([np.nan, 0.0])),
@@ -393,8 +411,8 @@ class TestConfigValidation:
         ("estimated_variance", np.nan),
     ])
     def test_nonfinite_estimate_rejected(self, field, value):
-        fields = dict(coefficients=np.array([1.0, 0.0]), support=np.array([True, False]),
-                      tuning=np.array([1.0, 2.0]), estimated_variance=1.0)
+        fields = dict(coefficients=np.array([1.0, 0.0]), tuning=np.array([1.0, 2.0]),
+                      estimated_variance=1.0)
         fields[field] = value
         with pytest.raises(InvalidInput):
             SignalEstimate(**fields)

@@ -10,16 +10,22 @@ BLAS thread, since fits at one and at two OpenBLAS threads differ in the last
 bits. The list: ``gaga_fit`` and ``gaga_qr_fit``, fixed and estimated
 variance, on the first 20 replicate seeds of ``model1`` and ``model2``, the
 first 3 of ``highdim``, and the criterion-8 inputs
-``gen_highdim(replicate_seed(0, 0), 4000, p)`` at p = 500, 1000 and 2000. It
-takes about 15 s per tree on two cores.
+``gen_highdim(replicate_seed(0, 0), 4000, p)`` at p = 500, 1000 and 2000.
+Each tree also runs three CLI commands in process: a ``gaga experiment`` of
+10 ``model1`` replicates with ``gaga,gaga_qr`` in estimated variance (no
+timing column), and ``gaga fit`` and ``gaga fit --qr`` on one ``model2``
+instance, which the first tree saves as a CSV and both trees read. It takes
+about 15 s per tree on two cores.
 
-The result is one line:
+The result is one line, the class of the fits and then the CLI outputs:
 
 - ``bit-identical``: every coefficient, tuning weight and variance is equal;
 - ``support identical``: with the worst coefficient gap, relative to
   max(1, max |REV's coefficients|), and the fit where it occurs;
 - ``support changed``: with the first fit whose support (or error) differs.
   The exit code is then 1; it is 2 when a tree cannot be exported or run.
+- ``CLI CSVs byte-identical``, or the commands whose CSVs differ. A
+  difference there does not change the exit code.
 """
 
 import argparse
@@ -35,6 +41,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = {"model1": 20, "model2": 20, "highdim": 3}
 CRITERION_8 = (500, 1000, 2000)
+EXPERIMENT_CONFIG = "model = model1\nreplicates = 10\nestimators = gaga,gaga_qr\n" \
+                    "variance_mode = estimated\n"
+CLI_COMMANDS = {"experiment": ["experiment", "--config", "{config}"],
+                "fit": ["fit", "--design", "{instance}"],
+                "fit --qr": ["fit", "--design", "{instance}", "--qr"]}
 ONE_THREAD = {name: "1" for name in
               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -50,6 +61,27 @@ def inputs():
     for p in CRITERION_8:
         instance = datagen.gen_highdim(datagen.replicate_seed(0, 0), 4000, p)
         yield f"criterion 8 p={p}", instance.problem
+
+
+def run_cli(out, instance):
+    """Write the CSV of each of ``CLI_COMMANDS`` under ``out``; the ``model2``
+    instance is saved at ``instance`` unless it is there already."""
+    from gaga import cli, datagen
+
+    if not instance.exists():
+        problem = datagen.gen_model2(datagen.replicate_seed(0, 0)).problem
+        np.savetxt(instance, np.column_stack([problem.design, problem.response]),
+                   delimiter=",", fmt="%.17g")
+    config = out / "experiment.cfg"
+    config.write_text(EXPERIMENT_CONFIG)
+    for name, argv in CLI_COMMANDS.items():
+        argv = [arg.format(config=config, instance=instance) for arg in argv]
+        if cli.main([*argv, "--out", str(out / cli_csv(name))]):
+            raise SystemExit(f"gaga {name} failed")
+
+
+def cli_csv(name):
+    return name.replace(" --", "_") + ".csv"
 
 
 def run_fits(path):
@@ -75,16 +107,18 @@ def run_fits(path):
     np.savez(path, **results)
 
 
-def fits_of(src, out):
-    """The fits of the tree whose package is under ``src``, run in a
-    subprocess that saves them to ``out``."""
+def outputs_of(src, out):
+    """The fits and the CLI CSVs of the tree whose package is under ``src``,
+    run in a subprocess that writes them to the directory ``out``."""
+    out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1", **ONE_THREAD)
-    proc = subprocess.run([sys.executable, __file__, "--fits-to", str(out)],
-                          env=env, cwd=out.parent)
+    proc = subprocess.run([sys.executable, __file__, "--outputs-to", str(out)],
+                          env=env, cwd=out)
     if proc.returncode:
         raise SystemExit(2)
-    with np.load(out) as data:
-        return {key: data[key] for key in data.files}
+    with np.load(out / "fits.npz") as data:
+        fits = {key: data[key] for key in data.files}
+    return fits, {name: (out / cli_csv(name)).read_bytes() for name in CLI_COMMANDS}
 
 
 def fit_keys(results):
@@ -132,10 +166,11 @@ def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", help="the revision to compare with, e.g. HEAD~1")
     # The worker mode, in which each tree's subprocess runs.
-    parser.add_argument("--fits-to", help=argparse.SUPPRESS)
+    parser.add_argument("--outputs-to", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.fits_to:
-        run_fits(args.fits_to)
+    if args.outputs_to:
+        run_fits(args.outputs_to / "fits.npz")
+        run_cli(args.outputs_to, args.outputs_to.parent / "model2.csv")
         return 0
     if not args.against:
         parser.error("--against REV is required")
@@ -148,12 +183,14 @@ def main(argv):
         export(args.against, tree)
         print(f"equiv: {args.against} ({rev.stdout.strip()}) against the working tree, "
               f"{' '.join(f'{k}=1' for k in ONE_THREAD)}", flush=True)
-        base = fits_of(tree / "src", tree / "base.npz")
-        new = fits_of(ROOT / "src", tree / "new.npz")
+        base, base_csvs = outputs_of(tree / "src", tree / "base")
+        new, new_csvs = outputs_of(ROOT / "src", tree / "new")
     finally:
         shutil.rmtree(tree)
     line, code = compare(base, new)
-    print(line)
+    differ = [name for name in CLI_COMMANDS if base_csvs[name] != new_csvs[name]]
+    print(f"{line}; CLI CSVs " + (f"differ: {', '.join(differ)}" if differ
+                                  else f"byte-identical: {', '.join(CLI_COMMANDS)}"))
     return code
 
 
