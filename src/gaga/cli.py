@@ -21,22 +21,6 @@ from .solver import gaga_fit
 from .types import GagaConfig, RegressionProblem
 
 
-def _parse_config_file(path):
-    cfg = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InvalidInput(f"bad config line: {line!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    unknown = sorted(set(cfg) - _CONFIG_KEYS)
-    if unknown:
-        raise InvalidInput(f"unknown config key(s): {', '.join(unknown)}")
-    return cfg
-
-
 # The CLI's own default; the library's defaults live in GagaConfig,
 # ExperimentSpec, validate_theorems and benchmark_timing.
 REPLICATES = 100
@@ -49,38 +33,59 @@ def _record_timing(value):
     return value in ("1", "true", "yes")
 
 
-# (keyword, parser of a config value, flag dest or None)
-_SOLVER = (("alpha", float, "alpha"), ("iterations", int, "iterations"),
-           ("variance_mode", str, "variance_mode"))
-_REPLICATES = ("replicates", int, "replicates")
-_SEED = ("base_seed", int, "seed")
-_TIMING = ("record_timing", _record_timing, None)
-# The keys of the README's config table.
-_CONFIG_KEYS = {"model", "estimators", "n", "sample_sizes", "out",
-               *(key for key, _, _ in (*_SOLVER, _REPLICATES, _SEED, _TIMING))}
+# The keys of the README's config table: key -> (parser of a config value,
+# dest of the flag that overrides it or None).
+_KEYS = {
+    "model": (str, None),
+    "estimators": (lambda v: [name.strip() for name in v.split(",")], None),
+    "alpha": (float, "alpha"),
+    "iterations": (int, "iterations"),
+    "variance_mode": (str, "variance_mode"),
+    "replicates": (int, "replicates"),
+    "base_seed": (int, "seed"),
+    "n": (int, None),
+    "sample_sizes": (lambda v: tuple(int(n) for n in v.split(",")) if v else None, None),
+    "record_timing": (_record_timing, None),
+    "out": (str, "out"),
+}
 
 
-def _given(args, cfg, *fields):
-    """The keyword arguments that a flag or, failing that, a config line sets.
-    A value set by neither is left out, so the callee's default applies."""
-    out = {}
-    for key, parse, dest in fields:
-        value = getattr(args, dest) if dest else None
-        if value is None and key in cfg:
-            value = parse(cfg[key])
-        if value is not None:
-            out[key] = value
-    return out
+def _settings(args, path=None):
+    """The value of each key that the config file at ``path`` or a flag sets,
+    parsed once; a flag overrides the file. A key set by neither is left out,
+    so the callee's default applies."""
+    raw = {}
+    for line in Path(path).read_text().splitlines() if path else ():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidInput(f"bad config line: {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in raw:
+            raise InvalidInput(f"repeated config key: {key}")
+        raw[key] = value
+    unknown = sorted(set(raw) - set(_KEYS))
+    if unknown:
+        raise InvalidInput(f"unknown config key(s): {', '.join(unknown)}")
+    settings = {key: _KEYS[key][0](value) for key, value in raw.items()}
+    for key, (_, flag) in _KEYS.items():
+        if flag and getattr(args, flag, None) is not None:
+            settings[key] = getattr(args, flag)
+    return settings
 
 
-def _solver_config(args, cfg=None):
-    return GagaConfig(**_given(args, cfg or {}, *_SOLVER))
+def _only(settings, *keys):
+    return {key: settings[key] for key in keys if key in settings}
+
+
+def _config(settings):
+    return GagaConfig(**_only(settings, "alpha", "iterations", "variance_mode"))
 
 
 def _estimators(names, config):
     out = []
     for name in names:
-        name = name.strip()
         if name == "gaga":
             out.append(GagaEstimator(config=config))
         elif name == "gaga_qr":
@@ -103,56 +108,43 @@ def _cmd_fit(args):
         x, y = data[:, :-1], data[:, -1]
     problem = RegressionProblem(design=x, response=y)
     fit = gaga_qr_fit if args.qr else gaga_fit
-    est = fit(problem, _solver_config(args))
+    est = fit(problem, _config(_settings(args)))
     rows = [{"index": j + 1, "coefficient": c, "support": int(s)}
             for j, (c, s) in enumerate(zip(est.coefficients, est.support))]
     harness.write_rows(args.out, rows, FIT_COLUMNS)
     return 0
 
 
-def _experiment_spec(args, model):
-    """The spec of a config file's experiment (``model`` unless the file
-    names one), and its output path."""
-    cfg = _parse_config_file(args.config)
-    sizes = cfg.get("sample_sizes")
-    out = args.out or cfg.get("out")
-    if not out:
-        raise InvalidInput("no output path (set --out or out= in the config)")
-    spec = ExperimentSpec(
-        model=cfg.get("model", model),
-        estimators=_estimators(cfg.get("estimators", "gaga").split(","),
-                               _solver_config(args, cfg)),
-        model_params={"n": int(cfg["n"])} if "n" in cfg else {},
-        sample_sizes=tuple(int(s) for s in sizes.split(",")) if sizes else None,
-        **{"replicates": REPLICATES, **_given(args, cfg, _REPLICATES, _SEED, _TIMING)},
-    )
-    return spec, out
+# A config-file command: its default model, its runner in ``gaga.harness``
+# (looked up at each call, so a wrapper installed there sees it) and the
+# runner's CSV columns.
+_RUNS = {"experiment": (datagen.MODEL1, "run_experiment", harness.CSV_COLUMNS),
+         "sweep": (datagen.CONSISTENCY, "run_consistency_sweep", harness.SWEEP_COLUMNS)}
 
 
 def _cmd_experiment(args):
-    spec, out = _experiment_spec(args, datagen.MODEL1)
-    if spec.sample_sizes:
-        raise InvalidInput("sample_sizes belongs to sweep; an experiment runs its model's own n")
-    harness.write_rows(out, harness.run_experiment(spec), harness.CSV_COLUMNS)
-    return 0
-
-
-def _cmd_sweep(args):
-    spec, out = _experiment_spec(args, datagen.CONSISTENCY)
-    harness.write_rows(out, harness.run_consistency_sweep(spec), harness.SWEEP_COLUMNS)
+    """``gaga experiment`` or ``gaga sweep``: the runner rejects the spec
+    fields it does not read."""
+    model, runner, columns = _RUNS[args.command]
+    settings = {"model": model, "estimators": ["gaga"], "replicates": REPLICATES,
+                **_settings(args, args.config)}
+    if not settings.get("out"):
+        raise InvalidInput("no output path (set --out or out= in the config)")
+    spec = ExperimentSpec(
+        estimators=_estimators(settings["estimators"], _config(settings)),
+        model_params=_only(settings, "n"),
+        **_only(settings, "model", "replicates", "base_seed", "sample_sizes", "record_timing"))
+    harness.write_rows(settings["out"], getattr(harness, runner)(spec), columns)
     return 0
 
 
 def _cmd_validate(args):
     beta = np.array([float(v) for v in args.beta_star.split(",")])
     sigma = np.array([float(v) for v in args.sigma_star.split(",")])
+    settings = {"replicates": REPLICATES, **_settings(args)}
     report = harness.validate_theorems(
-        n=args.n,
-        beta_star=beta,
-        sigma_star=sigma,
-        config=_solver_config(args),
-        **{"replicates": REPLICATES, **_given(args, {}, _REPLICATES, _SEED)},
-    )
+        n=args.n, beta_star=beta, sigma_star=sigma, config=_config(settings),
+        **_only(settings, "replicates", "base_seed"))
     row = dataclasses.asdict(report)
     if args.out:
         harness.write_rows(args.out, [row], columns=list(row))
@@ -163,11 +155,9 @@ def _cmd_validate(args):
 
 def _cmd_bench(args):
     dims = [int(v) for v in args.dimensions.split(",")]
-    rows = harness.benchmark_timing(
-        dims, n=args.n, repeats=args.repeats,
-        config=_solver_config(args),
-        **_given(args, {}, _SEED),
-    )
+    settings = _settings(args)
+    rows = harness.benchmark_timing(dims, n=args.n, repeats=args.repeats,
+                                    config=_config(settings), **_only(settings, "base_seed"))
     if args.out:
         harness.write_rows(args.out, rows, harness.BENCH_COLUMNS)
     for row in rows:
@@ -205,13 +195,13 @@ def build_parser():
     _add_solver_flags(p_fit, seed=False)
     p_fit.set_defaults(func=_cmd_fit)
 
-    for name, func in (("experiment", _cmd_experiment), ("sweep", _cmd_sweep)):
+    for name in _RUNS:
         sub = subs.add_parser(name)
         sub.add_argument("--config", required=True)
         sub.add_argument("--replicates", type=int, default=None)
         sub.add_argument("--out", default=None)
         _add_solver_flags(sub)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=_cmd_experiment)
 
     p_val = subs.add_parser("validate", help="empirical theory checks")
     p_val.add_argument("--n", type=int, required=True)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import InvalidCorrelation, InvalidInput, InvalidSize
-from .types import RegressionProblem
+from .types import RegressionProblem, integral
 
 MODEL1 = "model1"
 MODEL2 = "model2"
@@ -26,13 +26,14 @@ _STREAMS = {"design": 0, "coefficients": 1, "noise": 2, "support": 3}
 
 def stream_rng(seed: int, stream: str) -> np.random.Generator:
     """Philox generator for one named substream of a seed."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_STREAMS[stream],))
+    ss = np.random.SeedSequence(entropy=integral(seed, "seed"), spawn_key=(_STREAMS[stream],))
     return np.random.Generator(np.random.Philox(ss))
 
 
 def replicate_seed(base_seed: int, replicate: int) -> int:
     """Derived per-replicate seed, a pure function of (base_seed, replicate)."""
-    return int(np.random.SeedSequence([int(base_seed), int(replicate)]).generate_state(1)[0])
+    entropy = [integral(base_seed, "base_seed"), integral(replicate, "replicate")]
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ def _rows(correlation, n, rng):
         raise InvalidCorrelation(f"correlation matrix must be square, not {correlation.shape}")
     if not np.isfinite(correlation).all():
         raise InvalidCorrelation("correlation matrix has a non-finite entry")
-    if n < 0:
+    if integral(n, "n") < 0:
         raise InvalidSize(f"need n >= 0, got {n}")
     chol, info = lapack.dpotrf(correlation.T, lower=1, clean=1, overwrite_a=1)
     # A factor entry that overflowed leaves a NaN pivot, which LAPACK passes.
@@ -85,7 +86,7 @@ def _assemble(seed, model_tag, x, beta):
         problem=RegressionProblem(design=x, response=y),
         beta_true=beta,
         model_tag=model_tag,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -119,6 +120,7 @@ def gen_model2(seed: int) -> GeneratedInstance:
 
 def gen_highdim(seed: int, n: int = 1000, p: int = 500) -> GeneratedInstance:
     """Equicorrelation 0.5; p // 2 randomly placed zeros, the rest U(0,5)."""
+    p = integral(p, "p")
     x = _rows(_equicorrelation(p), n, stream_rng(seed, "design"))
     zero_pos = stream_rng(seed, "support").choice(p, size=p // 2, replace=False)
     beta = _open_uniform(stream_rng(seed, "coefficients"), 0.0, 5.0, size=p)
@@ -131,7 +133,7 @@ def gen_consistency(seed: int, n: int) -> GeneratedInstance:
     positions. The coefficient pattern depends only on the seed, so the same
     seed with different n reuses the pattern on fresh rows."""
     p, nonzeros = 8, 3
-    if n < p:
+    if integral(n, "n") < p:
         raise InvalidSize(f"need n >= {p}, got {n}")
     pos = stream_rng(seed, "support").choice(p, size=nonzeros, replace=False)
     vals = _open_uniform(stream_rng(seed, "coefficients"), 0.0, 1.0, size=nonzeros)
@@ -157,7 +159,7 @@ def gen_orthogonal(seed: int, n: int, p: int, beta_true, sigma_star) -> Generate
     roundoff: X'X is not exactly diagonal, so fits on it factorize."""
     beta_true = np.asarray(beta_true, dtype=float)
     sigma_star = np.asarray(sigma_star, dtype=float)
-    if n < p:
+    if integral(n, "n") < integral(p, "p"):
         raise InvalidSize(f"need n >= p, got n={n}, p={p}")
     if beta_true.shape != (p,) or sigma_star.shape != (p,):
         raise InvalidInput("beta_true/sigma_star must have length p")

@@ -6,6 +6,7 @@ and ``read_matrix`` reads the package's CSV input.
 
 import csv
 import math
+import re
 import statistics
 import time
 from dataclasses import dataclass, field, replace
@@ -70,7 +71,8 @@ class ExternalEstimates:
 
     The file is read by ``read_matrix``: rows ``replicate,b1,...,bp``, with an
     optional header and '#' comment lines anywhere. A comment may declare
-    ``snap=<tol>`` to zero out entries with |v| <= tol.
+    ``snap=<tol>`` (spaces allowed around '=') to zero out entries with
+    |v| <= tol.
     """
 
     def __init__(self, path, name="external"):
@@ -78,8 +80,9 @@ class ExternalEstimates:
         data, comments = read_matrix(path)
         snap = 0.0
         for text in comments:
-            if "snap=" in text:
-                snap = float(text.split("snap=", 1)[1].split(",")[0].strip())
+            directive = re.search(r"snap\s*=([^,]*)", text)
+            if directive:
+                snap = float(directive.group(1))
         replicates, vals = data[:, 0], data[:, 1:]
         if np.any(replicates % 1 != 0):
             raise InvalidInput(f"{path}: replicate numbers must be integers")
@@ -112,6 +115,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if integral(self.replicates, "replicates") < 1:
             raise InvalidInput("replicates must be >= 1")
+        for n in self.sample_sizes or ():
+            integral(n, "sample_sizes")
+        if not isinstance(self.record_timing, (bool, np.bool_)):
+            raise InvalidInput(f"record_timing must be a bool, got {self.record_timing!r}")
         if not self.estimators:
             raise InvalidInput("need at least one estimator")
         names = [estimator.name for estimator in self.estimators]
@@ -213,7 +220,10 @@ def _fmt(v):
 
 def run_experiment(spec: ExperimentSpec):
     """The rows of every (replicate, estimator) cell, then the per-estimator
-    summary rows (columns ``CSV_COLUMNS``)."""
+    summary rows (columns ``CSV_COLUMNS``). A spec with ``sample_sizes`` is
+    ``InvalidInput``: only a sweep reads them."""
+    if spec.sample_sizes:
+        raise InvalidInput("sample_sizes belongs to sweep; an experiment runs its model's own n")
     rows = [row for r in range(spec.replicates) for row in _run_replicate(spec, r)]
     rows.extend(_summary_rows(spec, rows))
     return rows
@@ -224,20 +234,23 @@ SWEEP_COLUMNS = ["sample_size", "estimator", "mean_err", "mean_acc", "replicates
 
 def run_consistency_sweep(spec: ExperimentSpec):
     """One averaged (err, acc) row per (sample size, estimator) (columns
-    ``SWEEP_COLUMNS``): ``spec.model`` is run with n set to each sample size."""
+    ``SWEEP_COLUMNS``): ``spec.model`` is run with n set to each sample size.
+    A spec with an ``n`` or with ``record_timing`` is ``InvalidInput``: the
+    sizes set n, and the rows have no timing column."""
     if not spec.sample_sizes:
         raise InvalidInput("sweep needs sample_sizes")
     if "n" in spec.model_params:
         raise InvalidInput("a sweep sets n from sample_sizes; remove n from the config")
+    if spec.record_timing:
+        raise InvalidInput("a sweep records no timing; remove record_timing from the config")
     out = []
     for n in spec.sample_sizes:
-        sub = replace(spec, model_params={**spec.model_params, "n": int(n)},
-                      record_timing=False)
+        sub = replace(spec, model_params={**spec.model_params, "n": n}, sample_sizes=None)
         rows = run_experiment(sub)
         for row in rows:
             if row["status"] == "summary" and row["replicate"] == "mean":
                 out.append({
-                    "sample_size": int(n), "estimator": row["estimator"],
+                    "sample_size": n, "estimator": row["estimator"],
                     "mean_err": row["err"], "mean_acc": row["acc"],
                     "replicates": spec.replicates,
                 })
@@ -300,8 +313,8 @@ def validate_theorems(n, replicates, beta_star, sigma_star, config=GagaConfig(),
         retention_rate_nonzero_coef=(nonzero_retained / nonzero_total) if nonzero_total else math.nan,
         normality_statistic=ks_distance(standardized) if standardized else math.nan,
         tuning_limit_error=float(np.median(tuning_errors)) if tuning_errors else math.nan,
-        sample_size=int(n),
-        replicates=int(replicates),
+        sample_size=n,
+        replicates=replicates,
         zero_positions=zero_total,
         zero_truncated=zero_truncated,
         nonzero_positions=nonzero_total,
@@ -334,9 +347,9 @@ def benchmark_timing(dimensions, n, repeats, config=GagaConfig(), base_seed=0):
                 times[name].append(time.perf_counter() - start)
         for name in ("gaga", "gaga_qr"):
             rows.append({
-                "p": int(p), "n": int(n), "estimator": name,
+                "p": p, "n": n, "estimator": name,
                 "mean_s": statistics.fmean(times[name]),
                 "median_s": statistics.median(times[name]),
-                "repeats": int(repeats),
+                "repeats": repeats,
             })
     return rows

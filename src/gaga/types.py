@@ -79,6 +79,8 @@ class GagaConfig:
             raise InvalidInput("alpha must be finite and > 1")
         if self.variance_mode not in (FIXED, ESTIMATED):
             raise InvalidInput(f"unknown variance_mode {self.variance_mode!r}")
+        if not isinstance(self.record_trace, (bool, np.bool_)):
+            raise InvalidInput(f"record_trace must be a bool, got {self.record_trace!r}")
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,8 @@ FREEZING = "tests/test_linalg.py::TestFreezing"
 QR_PIVOT = "tests/test_qr.py::TestCholeskyQr::test_failed_pivot_is_named_by_its_design_column"
 NON_FINITE = "tests/test_linalg.py::TestNonFiniteInput"
 VALIDATION = "tests/test_solver.py::TestConfigValidation"
+SWEEP = "tests/test_harness.py::TestConsistencySweep"
+SIZES = "tests/test_datagen.py::TestIntegerSizesAndSeeds::test_non_integer_rejected"
 
 MUTANTS = (
     Mutant("frozen coupling dropped", "src/gaga/linalg.py",
@@ -205,12 +207,23 @@ MUTANTS = (
            'x = correlated_gaussian_rows(_equicorrelation(p), n, stream_rng(seed, "design"))'
            "\n    zero_pos",
            ("tests/test_counts.py::test_highdim_design_peak_memory",)),
+    Mutant("variance floor not applied", "src/gaga/solver.py",
+           "if var < floor:", "if False:",
+           ("tests/test_solver.py::TestGagaFit::test_noiseless_response_floors_the_variance",)),
     Mutant("experiment without an output path", "src/gaga/cli.py",
-           "if not out:", "if False:",
+           'if not settings.get("out"):', "if False:",
            ("tests/test_cli.py::TestExperiment::test_no_output_path_fails",)),
-    Mutant("experiment ignores sample_sizes", "src/gaga/cli.py",
+    Mutant("experiment ignores sample_sizes", "src/gaga/harness.py",
            "if spec.sample_sizes:", "if False:",
-           ("tests/test_cli.py::TestExperiment::test_sample_sizes_fails",)),
+           ("tests/test_harness.py::TestRunExperiment::test_rejects_sample_sizes",
+            "tests/test_cli.py::TestExperiment::test_sample_sizes_fails")),
+    Mutant("sweep drops record_timing", "src/gaga/harness.py",
+           "if spec.record_timing:\n        raise", "if False:\n        raise",
+           (SWEEP + "::test_rejects_record_timing",
+            "tests/test_cli.py::TestSweep::test_sweep_rejects_record_timing")),
+    Mutant("repeated config key: the last line wins", "src/gaga/cli.py",
+           "if key in raw:", "if False:",
+           ("tests/test_cli.py::test_repeated_config_key_fails",)),
     Mutant("usage error left to argparse", "src/gaga/cli.py",
            "raise InvalidInput(message)", "super().error(message)",
            ("tests/test_cli.py::TestUsageErrors::test_one_line_invalid_input",)),
@@ -231,6 +244,38 @@ MUTANTS = (
     Mutant("repeated external replicate accepted", "src/gaga/harness.py",
            "if np.any(counts > 1):", "if False:",
            ("tests/test_cli.py::TestExperiment::test_repeated_external_replicate_fails",)),
+    Mutant("snap directive read only without spaces", "src/gaga/harness.py",
+           r'r"snap\s*=([^,]*)"', r'r"snap=([^,]*)"',
+           ("tests/test_harness.py::TestExternalEstimates::test_snap_allows_spaces",)),
+    Mutant("record_timing of any type accepted", "src/gaga/harness.py",
+           "if not isinstance(self.record_timing, (bool, np.bool_)):", "if False:",
+           ("tests/test_harness.py::TestRunExperiment::test_record_timing_must_be_a_bool",)),
+    Mutant("record_trace of any type accepted", "src/gaga/types.py",
+           "if not isinstance(self.record_trace, (bool, np.bool_)):", "if False:",
+           (VALIDATION + "::test_record_trace_must_be_a_bool",)),
+    Mutant("non-integer sample size truncated by the sweep", "src/gaga/harness.py",
+           '        for n in self.sample_sizes or ():\n            integral(n, "sample_sizes")\n',
+           "", (SWEEP + "::test_non_integer_sample_size",)),
+    Mutant("non-integer seed truncated", "src/gaga/datagen.py",
+           'entropy=integral(seed, "seed")', "entropy=int(seed)",
+           (SIZES + "[model1-seed]", SIZES + "[stream-seed]")),
+    Mutant("non-integer base seed truncated", "src/gaga/datagen.py",
+           'integral(base_seed, "base_seed")', "int(base_seed)",
+           (SIZES + "[replicate-base_seed]",
+            "tests/test_harness.py::TestRunExperiment::test_non_integer_base_seed")),
+    Mutant("non-integer n reaches the design draw", "src/gaga/datagen.py",
+           'if integral(n, "n") < 0:', "if n < 0:",
+           (SIZES + "[rows-n]", SIZES + "[highdim-n]",
+            "tests/test_harness.py::TestBenchmark::test_non_integer_size[n]")),
+    Mutant("non-integer p reaches the highdim draw", "src/gaga/datagen.py",
+           '    p = integral(p, "p")\n', "",
+           (SIZES + "[highdim-p]", "tests/test_harness.py::TestBenchmark::test_non_integer_size[p]")),
+    Mutant("non-integer consistency n", "src/gaga/datagen.py",
+           'if integral(n, "n") < p:', "if n < p:", (SIZES + "[consistency-n]",)),
+    Mutant("non-integer orthogonal sizes", "src/gaga/datagen.py",
+           'if integral(n, "n") < integral(p, "p"):', "if n < p:",
+           (SIZES + "[orthogonal-n]", SIZES + "[orthogonal-p]",
+            "tests/test_harness.py::TestValidateTheorems::test_non_integer_n")),
 )
 
 

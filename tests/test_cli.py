@@ -307,6 +307,18 @@ def test_misspelled_config_key_fails(tmp_path, capsys, command, lines):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,lines", [
+    ("experiment", "model = model1\n"), ("sweep", "sample_sizes = 30\n")],
+    ids=["experiment", "sweep"])
+def test_repeated_config_key_fails(tmp_path, capsys, command, lines):
+    # Otherwise the second line would replace the first without a word.
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "exp.csv"
+    cfg.write_text(f"{lines}replicates = 1\nalpha = 3\nalpha = 5\nout = {out}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert "repeated config key: alpha" in single_error_line(capsys)
+    assert not out.exists()
+
+
 class TestSweep:
     def test_sweep_run(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
@@ -343,6 +355,14 @@ class TestSweep:
                        f"replicates = 1\nout = {out}\n")
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert "sample_sizes" in single_error_line(capsys)
+        assert not out.exists()
+
+    def test_sweep_rejects_record_timing(self, tmp_path, capsys):
+        # A sweep writes no timing column, so the line would be dropped.
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        cfg.write_text(f"sample_sizes = 30\nreplicates = 1\nrecord_timing = true\nout = {out}\n")
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert "record_timing" in single_error_line(capsys)
         assert not out.exists()
 
     def test_sweep_without_sizes_fails(self, tmp_path, capsys):

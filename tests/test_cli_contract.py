@@ -142,7 +142,11 @@ def assert_config_run(data, command):
             cfg["n"] = d.value("n", ["8", "20"], ["3", "x"])
         if command == "sweep" or "sample_sizes" in d.faults:
             cfg["sample_sizes"] = d.value("sample_sizes", ["8,20", "20"], ["", "3", "8,x"])
-        cfg["record_timing"] = d.value("record_timing", ["true", "false", "yes"], ["maybe"])
+        if command == "sweep":  # a sweep records no timing, so only "false" is valid
+            cfg["record_timing"] = d.value("record_timing", [None, "false"],
+                                           ["true", "yes", "maybe"])
+        else:
+            cfg["record_timing"] = d.value("record_timing", ["true", "false", "yes"], ["maybe"])
         cfg["alpha"], cfg["variance_mode"] = d.optional("alpha"), d.optional("variance_mode")
         cfg["base_seed"] = d.optional("seed")
         # Replicates and iterations are always set, by a flag or by a line.

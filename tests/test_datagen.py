@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaga import InvalidCorrelation, InvalidSize
+from gaga import InvalidCorrelation, InvalidInput, InvalidSize
 from gaga.datagen import (
     _open_uniform,
     correlated_gaussian_rows,
@@ -211,3 +211,35 @@ class TestStreamsAndSeeds:
         b = stream_rng(0, "noise").standard_normal(5)
         assert not np.array_equal(a, b)
 
+
+
+class TestIntegerSizesAndSeeds:
+    """A size or a seed that is not an integer is ``InvalidInput``, neither
+    truncated (a seed) nor left to end in a raw ``TypeError`` (a size)."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: gen_highdim(0, 60.5, 10), "n"),
+        (lambda: gen_highdim(0, 60, 10.5), "p"),
+        (lambda: gen_consistency(0, 30.5), "n"),
+        (lambda: gen_orthogonal(0, 50.5, 2, [1.0, 0.0], [1.0, 1.0]), "n"),
+        (lambda: gen_orthogonal(0, 50, 2.0, [1.0, 0.0], [1.0, 1.0]), "p"),
+        (lambda: correlated_gaussian_rows(np.eye(2), 10.5, stream_rng(0, "design")), "n"),
+        (lambda: gen_model1(2.5), "seed"),
+        (lambda: gen_model2(np.float64(1)), "seed"),
+        (lambda: stream_rng("3", "noise"), "seed"),
+        (lambda: replicate_seed(2.5, 0), "base_seed"),
+        (lambda: replicate_seed(0, 1.5), "replicate"),
+    ], ids=["highdim-n", "highdim-p", "consistency-n", "orthogonal-n", "orthogonal-p",
+            "rows-n", "model1-seed", "model2-seed", "stream-seed", "replicate-base_seed",
+            "replicate-replicate"])
+    def test_non_integer_rejected(self, call, name):
+        with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            call()
+
+    def test_numpy_integers_give_the_same_design(self):
+        a = gen_highdim(np.int64(replicate_seed(np.int32(4), np.int64(1))), np.int64(60),
+                        np.int32(10))
+        b = gen_highdim(replicate_seed(4, 1), 60, 10)
+        assert np.array_equal(a.problem.design, b.problem.design)
+        assert np.array_equal(a.problem.response, b.problem.response)
+        assert np.array_equal(a.beta_true, b.beta_true)

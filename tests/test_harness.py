@@ -132,6 +132,30 @@ class TestRunExperiment:
         with pytest.raises(InvalidInput, match="'model1' needs no parameter, got n"):
             generate_instance(MODEL1, 0, n=50)
 
+    def test_rejects_sample_sizes(self):
+        # Only a sweep reads sample_sizes; an experiment runs its model's own n.
+        spec = ExperimentSpec(model=MODEL1, replicates=1, estimators=(GagaEstimator(),),
+                              sample_sizes=(30,))
+        with pytest.raises(InvalidInput, match="sample_sizes belongs to sweep"):
+            run_experiment(spec)
+
+    def test_non_integer_base_seed(self):
+        spec = ExperimentSpec(model=MODEL1, replicates=1, estimators=(GagaEstimator(),),
+                              base_seed=2.5)
+        with pytest.raises(InvalidInput, match="base_seed must be an integer"):
+            run_experiment(spec)
+
+    @pytest.mark.parametrize("flag", ["false", 1, None])
+    def test_record_timing_must_be_a_bool(self, flag):
+        with pytest.raises(InvalidInput, match="record_timing must be a bool"):
+            ExperimentSpec(model=MODEL1, replicates=1, estimators=(GagaEstimator(),),
+                           record_timing=flag)
+
+    def test_numpy_bool_record_timing_accepted(self):
+        spec = ExperimentSpec(model=MODEL1, replicates=1, estimators=(_OracleEstimator(),),
+                              record_timing=np.True_)
+        assert run_experiment(spec)[0]["wall_ms"] != ""
+
     def test_duplicate_estimator_names(self):
         # Two estimators under one name would pool their summary rows.
         with pytest.raises(InvalidInput, match="names must differ"):
@@ -183,6 +207,12 @@ class TestExternalEstimates:
         vals = ext.coefficients(None, 0)
         assert np.array_equal(vals, [0.0, 2.0])
 
+    @pytest.mark.parametrize("line", ["# snap = 0.01", "#snap =0.01, from R", "# tol: snap= 0.01"])
+    def test_snap_allows_spaces(self, tmp_path, line):
+        path = tmp_path / "ext.csv"
+        path.write_text(f"{line}\nreplicate,b1,b2\n0,0.005,2.0\n")
+        assert np.array_equal(ExternalEstimates(path).coefficients(None, 0), [0.0, 2.0])
+
     def test_missing_replicate(self, tmp_path):
         path = tmp_path / "ext.csv"
         path.write_text("replicate,b1\n0,1.0\n")
@@ -222,6 +252,25 @@ class TestConsistencySweep:
         with pytest.raises(InvalidInput, match="'model1' needs no parameter"):
             run_consistency_sweep(spec)
 
+    def test_rejects_record_timing(self):
+        # The sweep's rows have no timing column, so the field would be dropped.
+        spec = ExperimentSpec(model=CONSISTENCY, replicates=1, estimators=(GagaEstimator(),),
+                              sample_sizes=(30,), record_timing=True)
+        with pytest.raises(InvalidInput, match="record_timing"):
+            run_consistency_sweep(spec)
+
+    def test_non_integer_sample_size(self):
+        # Truncated, 30.5 would run a sweep at n=30 and report sample_size 30.
+        with pytest.raises(InvalidInput, match="sample_sizes must be an integer"):
+            ExperimentSpec(model=CONSISTENCY, replicates=1, estimators=(GagaEstimator(),),
+                           sample_sizes=(30, 30.5))
+
+    def test_numpy_sample_sizes_give_the_same_rows(self):
+        rows = [run_consistency_sweep(ExperimentSpec(
+            model=CONSISTENCY, replicates=2, estimators=(GagaEstimator(),),
+            sample_sizes=sizes)) for sizes in ((30, 60), (np.int64(30), np.int32(60)))]
+        assert rows[0] == rows[1]
+
     def test_requires_sample_sizes(self):
         spec = ExperimentSpec(model=CONSISTENCY, replicates=2,
                               estimators=(GagaEstimator(),))
@@ -255,6 +304,10 @@ class TestValidateTheorems:
     def test_non_integer_replicates(self):
         with pytest.raises(InvalidInput, match="replicates must be an integer"):
             validate_theorems(50, 1.5, [2.0, 0.0], [1.0, 1.0])
+
+    def test_non_integer_n(self):
+        with pytest.raises(InvalidInput, match="n must be an integer"):
+            validate_theorems(50.5, 2, [1.0, 0.0], [1.0, 1.0])
 
     def test_deterministic(self):
         a = validate_theorems(50, 5, [2.0, 0.0], [1.0, 1.0])
@@ -304,6 +357,11 @@ class TestBenchmark:
     def test_p_greater_than_n_rejected(self):
         with pytest.raises(InvalidInput):
             benchmark_timing([100], n=50, repeats=1)
+
+    @pytest.mark.parametrize("dimensions, n", [([10.5], 60), ([10], 60.5)], ids=["p", "n"])
+    def test_non_integer_size(self, dimensions, n):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            benchmark_timing(dimensions, n=n, repeats=1)
 
     def test_non_integer_repeats(self):
         with pytest.raises(InvalidInput, match="repeats must be an integer"):

@@ -126,6 +126,7 @@ WRONG_CONFIG_VALUES = {
     "alpha": (st.integers(max_value=1) | st.floats() | st.text(max_size=2) | st.none()
               | st.complex_numbers()),
     "variance_mode": st.integers() | st.text(max_size=3) | st.none(),
+    "record_trace": st.integers() | st.text(max_size=5) | st.none(),
 }
 
 
@@ -136,7 +137,7 @@ def config_values(draw):
     values = {"iterations": draw(st.integers(1, 20)),
               "alpha": draw(st.floats(1.0, 8.0, exclude_min=True)),
               "variance_mode": draw(modes)}
-    wrong = draw(st.sampled_from([None, None, None, *WRONG_CONFIG_VALUES]))
+    wrong = draw(st.sampled_from([None] * len(WRONG_CONFIG_VALUES) + [*WRONG_CONFIG_VALUES]))
     if wrong:
         values[wrong] = draw(WRONG_CONFIG_VALUES[wrong])
     return values

@@ -256,6 +256,17 @@ class TestGagaFit:
         assert last.beta.shape == (3,) and last.variance == est.estimated_variance
         assert last.variance_floored is False
 
+    def test_noiseless_response_floors_the_variance(self):
+        # With no residual the EM estimate falls towards 0; the floor
+        # 1e-12 (y'y / n + 1) keeps it positive, and the state says so.
+        x = np.random.default_rng(0).standard_normal((12, 3))
+        y = x @ np.array([1.0, 0.0, 2.0])
+        est = gaga_fit(RegressionProblem(design=x, response=y),
+                       GagaConfig(variance_mode=ESTIMATED, record_trace=True))
+        assert est.trace[-1].variance_floored is True
+        assert est.estimated_variance == pytest.approx(1e-12 * (y @ y / 12 + 1.0), rel=1e-12)
+        assert list(est.support) == [True, False, True]
+
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((30, 5))
@@ -378,6 +389,16 @@ class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(InvalidInput):
             GagaConfig(variance_mode="auto")
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None])
+    def test_record_trace_must_be_a_bool(self, flag):
+        # "false" is truthy, so taken as it is it would record a trace.
+        with pytest.raises(InvalidInput, match="record_trace must be a bool"):
+            GagaConfig(record_trace=flag)
+
+    def test_numpy_bool_record_trace_accepted(self):
+        est = gaga_fit(huge_scale_problem(1.0), GagaConfig(iterations=2, record_trace=np.True_))
+        assert len(est.trace) == 2
 
     @pytest.mark.parametrize("design, response, error", [
         (np.ones(4), np.ones(4), DimensionError),
