@@ -46,7 +46,8 @@ class RegressionProblem:
             raise InvalidInput(f"need n >= 1 and p >= 1, got {n}x{p}")
         if y.shape[0] != n:
             raise DimensionError(f"response length {y.shape[0]} != row count {n}")
-        if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+        # NaN and +-inf carry through min and max, which need no n x p temporary.
+        if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in (x, y)):
             raise InvalidInput("design/response contain non-finite entries")
         object.__setattr__(self, "design", x)
         object.__setattr__(self, "response", y)

@@ -54,6 +54,7 @@ NON_FINITE = "tests/test_linalg.py::TestNonFiniteInput"
 VALIDATION = "tests/test_solver.py::TestConfigValidation"
 SWEEP = "tests/test_harness.py::TestConsistencySweep"
 SIZES = "tests/test_datagen.py::TestIntegerSizesAndSeeds::test_non_integer_rejected"
+NEGATIVE = "tests/test_datagen.py::TestIntegerSizesAndSeeds::test_negative_"
 
 MUTANTS = (
     Mutant("frozen coupling dropped", "src/gaga/linalg.py",
@@ -139,10 +140,21 @@ MUTANTS = (
     Mutant("design multiplied out of place", "src/gaga/datagen.py",
            "blas.dtrmm(1.0, chol, x.T, lower=1, overwrite_b=1)",
            "blas.dtrmm(1.0, chol, x.T, lower=1, overwrite_b=0)",
-           ("tests/test_counts.py::test_correlated_design_peak_memory",)),
+           ("tests/test_counts.py::test_general_correlation_peak_memory",)),
+    Mutant("equicorrelation not recognised", "src/gaga/datagen.py",
+           "return off.min() == off.max()", "return False",
+           ("tests/test_counts.py::test_correlated_design_peak_memory",
+            "tests/test_datagen.py::TestCorrelatedRows::"
+            "test_equicorrelation_takes_the_closed_form")),
+    Mutant("closed-form factor one pivot off", "src/gaga/datagen.py",
+           "below = rho * (1 - rho) / m[:-1] / diag", "below = rho * (1 - rho) / m[1:] / diag",
+           ("tests/test_datagen.py::TestCorrelatedRows::test_matches_textbook_product",)),
     Mutant("non-finite correlation accepted", "src/gaga/datagen.py",
            "if not np.isfinite(correlation).all():", "if False:",
            ("tests/test_datagen.py::TestCorrelatedRows::test_non_finite_rejected",)),
+    Mutant("failed factorization accepted", "src/gaga/datagen.py",
+           "if info != 0 or not", "if not",
+           ("tests/test_datagen.py::TestCorrelatedRows::test_non_pd_general_matrix_rejected",)),
     Mutant("overflowing factor accepted", "src/gaga/datagen.py",
            " or not np.isfinite(np.diagonal(chol)).all()", "",
            ("tests/test_properties.py::"
@@ -202,11 +214,12 @@ MUTANTS = (
            ("tests/test_fixed_point.py::TestClassify::test_max_iter_below_one_rejected",)),
     Mutant("endpoint draw kept", "src/gaga/datagen.py",
            "while np.any(v == low):", "while False:", ("tests/test_datagen.py::TestOpenUniform",)),
-    Mutant("highdim matrix copied before its factorization", "src/gaga/datagen.py",
-           'x = _rows(_equicorrelation(p), n, stream_rng(seed, "design"))\n    zero_pos',
-           'x = correlated_gaussian_rows(_equicorrelation(p), n, stream_rng(seed, "design"))'
-           "\n    zero_pos",
+    Mutant("design checked for non-finite entries through a temporary", "src/gaga/types.py",
+           "np.isfinite(a.min()) and np.isfinite(a.max())", "np.isfinite(a).all()",
            ("tests/test_counts.py::test_highdim_design_peak_memory",)),
+    Mutant("-inf passes the design check", "src/gaga/types.py",
+           "np.isfinite(a.min()) and np.isfinite(a.max())", "np.isfinite(a.max())",
+           (VALIDATION + "::test_non_finite_entry_rejected",)),
     Mutant("variance floor not applied", "src/gaga/solver.py",
            "if var < floor:", "if False:",
            ("tests/test_solver.py::TestGagaFit::test_noiseless_response_floors_the_variance",)),
@@ -257,10 +270,10 @@ MUTANTS = (
            '        for n in self.sample_sizes or ():\n            integral(n, "sample_sizes")\n',
            "", (SWEEP + "::test_non_integer_sample_size",)),
     Mutant("non-integer seed truncated", "src/gaga/datagen.py",
-           'entropy=integral(seed, "seed")', "entropy=int(seed)",
+           'entropy=_seed(seed, "seed")', "entropy=int(seed)",
            (SIZES + "[model1-seed]", SIZES + "[stream-seed]")),
     Mutant("non-integer base seed truncated", "src/gaga/datagen.py",
-           'integral(base_seed, "base_seed")', "int(base_seed)",
+           '_seed(base_seed, "base_seed")', "int(base_seed)",
            (SIZES + "[replicate-base_seed]",
             "tests/test_harness.py::TestRunExperiment::test_non_integer_base_seed")),
     Mutant("non-integer n reaches the design draw", "src/gaga/datagen.py",
@@ -268,7 +281,7 @@ MUTANTS = (
            (SIZES + "[rows-n]", SIZES + "[highdim-n]",
             "tests/test_harness.py::TestBenchmark::test_non_integer_size[n]")),
     Mutant("non-integer p reaches the highdim draw", "src/gaga/datagen.py",
-           '    p = integral(p, "p")\n', "",
+           'if integral(p, "p") < 0:', "if p < 0:",
            (SIZES + "[highdim-p]", "tests/test_harness.py::TestBenchmark::test_non_integer_size[p]")),
     Mutant("non-integer consistency n", "src/gaga/datagen.py",
            'if integral(n, "n") < p:', "if n < p:", (SIZES + "[consistency-n]",)),
@@ -276,6 +289,10 @@ MUTANTS = (
            'if integral(n, "n") < integral(p, "p"):', "if n < p:",
            (SIZES + "[orthogonal-n]", SIZES + "[orthogonal-p]",
             "tests/test_harness.py::TestValidateTheorems::test_non_integer_n")),
+    Mutant("negative seed reaches SeedSequence", "src/gaga/datagen.py",
+           "if value < 0:", "if False:", (NEGATIVE + "seed_rejected",)),
+    Mutant("negative p reaches the highdim draw", "src/gaga/datagen.py",
+           'if integral(p, "p") < 0:', "if False:", (NEGATIVE + "size_rejected[highdim-p]",)),
 )
 
 

@@ -228,6 +228,13 @@ class TestExperiment:
         assert main(["experiment", "--config", str(cfg)]) == 1
         assert "unknown model 'orthogonal'" in single_error_line(capsys)
 
+    def test_unknown_estimator_fails(self, tmp_path, capsys):
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "o.csv"
+        cfg.write_text(f"model = model1\nreplicates = 1\nestimators = gaga,lasso\nout = {out}\n")
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "unknown estimator 'lasso'" in single_error_line(capsys)
+        assert not out.exists()
+
     def test_n_for_a_model_without_n_fails(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"model = model1\nn = 50\nreplicates = 1\nout = {tmp_path / 'o.csv'}\n")

@@ -3,6 +3,8 @@ import pytest
 
 from gaga import InvalidCorrelation, InvalidInput, InvalidSize
 from gaga.datagen import (
+    _cholesky_rows,
+    _equicorrelated_rows,
     _open_uniform,
     correlated_gaussian_rows,
     gen_consistency,
@@ -38,6 +40,12 @@ class TestCorrelatedRows:
         with pytest.raises(InvalidCorrelation):
             correlated_gaussian_rows(bad, 10, stream_rng(0, "design"))
 
+    def test_non_pd_general_matrix_rejected(self):
+        # Not an equicorrelation matrix, so its factorization fails.
+        bad = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.9], [0.0, 0.9, 1.0]])
+        with pytest.raises(InvalidCorrelation, match="not positive definite"):
+            correlated_gaussian_rows(bad, 10, stream_rng(0, "design"))
+
     @pytest.mark.parametrize("bad", [
         [[np.nan, 0.5], [0.5, 1.0]],
         [[1.0, np.nan], [np.nan, 1.0]],
@@ -70,7 +78,8 @@ class TestCorrelatedRows:
 
     def test_matches_textbook_product(self):
         # The normals times the transposed Cholesky factor, as numpy spells
-        # it; the triangular product sums the same terms in another order.
+        # it. The closed form sums the same terms in another order, each
+        # row's running sum from left to right, with a factor of its own.
         n, p = 1000, 500
         corr = np.where(np.eye(p, dtype=bool), 1.0, 0.5)
         z = stream_rng(2, "design").standard_normal((n, p))
@@ -78,6 +87,56 @@ class TestCorrelatedRows:
         got = correlated_gaussian_rows(corr, n, stream_rng(2, "design"))
         assert got.flags.c_contiguous
         assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("rho", [0.5, -0.03, 0.0])
+    def test_equicorrelation_takes_the_closed_form(self, rho):
+        p, n = 30, 200
+        corr = np.full((p, p), rho)
+        np.fill_diagonal(corr, 1.0)
+        kept = corr.copy()
+        x = correlated_gaussian_rows(corr, n, stream_rng(4, "design"))
+        assert np.array_equal(x, _equicorrelated_rows(rho, p, n, stream_rng(4, "design")))
+        assert np.array_equal(corr, kept)
+        general = _cholesky_rows(corr.copy(), n, stream_rng(4, "design"))
+        assert np.abs(x - general).max() <= 1e-14 * np.abs(general).max()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_structure_read_in_any_layout(self, layout):
+        p, n = 12, 50
+        corr = np.full((p, p), 0.3)
+        np.fill_diagonal(corr, 1.0)
+        given = {"C": corr, "F": np.asfortranarray(corr),
+                 "strided": np.kron(corr, np.ones((2, 2)))[::2, ::2]}[layout]
+        x = correlated_gaussian_rows(given, n, stream_rng(6, "design"))
+        assert np.array_equal(x, _equicorrelated_rows(0.3, p, n, stream_rng(6, "design")))
+
+    @pytest.mark.parametrize("entry, value", [((0, 1), 0.5), ((7, 3), 0.5), ((5, 5), 1.5)],
+                             ids=["first off-diagonal", "inner off-diagonal", "diagonal"])
+    def test_other_matrices_are_factored(self, entry, value):
+        # One entry off the structure, by an ulp or more, and the general
+        # path runs, bit for bit, on a copy: the second call reads the same
+        # matrix as the first.
+        p, n = 10, 40
+        corr = np.full((p, p), np.nextafter(0.5, 1.0))
+        np.fill_diagonal(corr, 1.0)
+        corr[entry] = corr[entry[::-1]] = value
+        x = correlated_gaussian_rows(corr, n, stream_rng(8, "design"))
+        assert np.array_equal(x, _cholesky_rows(corr.copy(), n, stream_rng(8, "design")))
+
+    @pytest.mark.parametrize("n, p", [(500, 300), (3, 4000), (0, 5)])
+    def test_uncorrelated_rows_are_the_normals(self, n, p):
+        # rho = 0 gives L = I exactly, so the rows are the draws of one
+        # standard_normal((n, p)) call, however many blocks they took.
+        x = correlated_gaussian_rows(np.eye(p), n, stream_rng(9, "design"))
+        assert np.array_equal(x, stream_rng(9, "design").standard_normal((n, p)))
+
+    @pytest.mark.parametrize("p", [2, 3, 40])
+    def test_closed_form_rejects_the_interval_ends(self, p):
+        for rho in (-1 / (p - 1), np.nextafter(-1 / (p - 1), -1), 1.0, 1.5):
+            corr = np.full((p, p), rho)
+            np.fill_diagonal(corr, 1.0)
+            with pytest.raises(InvalidCorrelation, match="not positive definite"):
+                correlated_gaussian_rows(corr, 10, stream_rng(0, "design"))
 
 
 class TestModel1:
@@ -179,6 +238,19 @@ class TestOrthogonal:
         with pytest.raises(InvalidSize):
             gen_orthogonal(0, 2, 3, np.zeros(3), np.ones(3))
 
+    @pytest.mark.parametrize("beta_true, sigma_star", [
+        (np.zeros(2), np.ones(3)),
+        (np.zeros(3), np.ones(4)),
+    ], ids=["beta_true", "sigma_star"])
+    def test_length_other_than_p(self, beta_true, sigma_star):
+        with pytest.raises(InvalidInput, match="must have length p"):
+            gen_orthogonal(0, 10, 3, beta_true, sigma_star)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_nonpositive_sigma_star(self, bad):
+        with pytest.raises(InvalidInput, match="sigma_star must be positive"):
+            gen_orthogonal(0, 10, 3, np.zeros(3), np.array([1.0, bad, 1.0]))
+
 
 class TestOpenUniform:
     """A draw of exactly the lower endpoint (probability 2^-53) is redrawn."""
@@ -234,6 +306,25 @@ class TestIntegerSizesAndSeeds:
             "replicate-replicate"])
     def test_non_integer_rejected(self, call, name):
         with pytest.raises(InvalidInput, match=f"{name} must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: stream_rng(-1, "noise"), "seed"),
+        (lambda: gen_model1(-1), "seed"),
+        (lambda: replicate_seed(-3, 0), "base_seed"),
+        (lambda: replicate_seed(0, -1), "replicate"),
+    ], ids=["stream-seed", "model1-seed", "replicate-base_seed", "replicate-replicate"])
+    def test_negative_seed_rejected(self, call, name):
+        with pytest.raises(InvalidInput, match=f"{name} must be non-negative"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: gen_highdim(0, 10, -1),
+        lambda: gen_highdim(0, -1, 10),
+        lambda: correlated_gaussian_rows(np.eye(3), -2, stream_rng(0, "design")),
+    ], ids=["highdim-p", "highdim-n", "rows-n"])
+    def test_negative_size_rejected(self, call):
+        with pytest.raises(InvalidSize, match="need [np] >= 0"):
             call()
 
     def test_numpy_integers_give_the_same_design(self):

@@ -15,6 +15,11 @@
   system, NaN and inf entries included; on any square correlation matrix,
   NaN and inf entries included, the design generator returns finite rows or
   raises ``InvalidCorrelation``.
+- Closed-form equicorrelated rows: on any equicorrelation matrix, negative
+  correlations and both ends of the positive-definite interval included,
+  the design generator's closed form agrees with its general Cholesky path,
+  or raises ``InvalidCorrelation`` where that matrix is not positive
+  definite.
 - The QR variant fits the scaled designs too. Its support may move, because
   its ordering of the columns by OLS magnitude depends on their units.
 
@@ -30,7 +35,7 @@ from hypothesis.extra.numpy import arrays
 
 from gaga import (ESTIMATED, FIXED, GagaConfig, GagaError, InvalidCorrelation,
                   RegressionProblem, gaga_fit, gaga_qr_fit, spd_solve_with_inverse_diagonal)
-from gaga.datagen import correlated_gaussian_rows, stream_rng
+from gaga.datagen import _cholesky_rows, correlated_gaussian_rows, stream_rng
 
 TOL = 1e-8
 N, P = 200, 10
@@ -221,3 +226,47 @@ def test_every_correlation_gives_finite_rows_or_a_typed_error(corr, n, seed):
         return
     assert x.shape == (n, corr.shape[0])
     assert np.isfinite(x).all()
+
+
+@st.composite
+def equicorrelations(draw):
+    """(p, rho): p in [2, 40] and rho from beyond -1/(p - 1) to beyond 1,
+    the two ends of the positive-definite interval and their neighbours on
+    either side included."""
+    p = draw(st.integers(2, 40))
+    low = -1.0 / (p - 1)
+    ends = [low, np.nextafter(low, -1.0), np.nextafter(low, 0.0),
+            1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)]
+    return p, draw(st.floats(1.5 * low, 1.5) | st.sampled_from(ends))
+
+
+@given(case=equicorrelations(), n=st.integers(0, 30), seed=seeds)
+@example(case=(2, -1.0), n=3, seed=0)
+@example(case=(40, 1.0), n=3, seed=0)
+def test_closed_form_matches_the_general_factor(case, n, seed):
+    """The closed form against ``dpotrf`` on the same matrix, to 1e-14 of
+    the largest entry while the condition number kappa is at most 100. The
+    general factor's own error grows with kappa (2.9e-14 at p = 50,
+    rho = 0.9999, kappa = 5e5), so the bound grows as 1e-16 kappa beyond."""
+    p, rho = case
+    corr = np.full((p, p), rho)
+    np.fill_diagonal(corr, 1.0)
+    top = 1 + (p - 1) * rho  # the eigenvalues are top and 1 - rho
+    try:
+        x = correlated_gaussian_rows(corr, n, stream_rng(seed, "design"))
+    except InvalidCorrelation:
+        # At or beyond either end, or within rounding of the lower one.
+        assert rho >= 1 or rho <= -1 / (p - 1) or abs(top) <= 4 * p * np.finfo(float).eps
+        return
+    assert -1 / (p - 1) < rho < 1
+    try:
+        general = _cholesky_rows(corr.copy(), n, stream_rng(seed, "design"))
+    except InvalidCorrelation:
+        # dpotrf's own rounding near a singular matrix; the closed form
+        # needs no pivot that could round to zero.
+        assert max(top, 1 - rho) / min(top, 1 - rho) > 1e12
+        return
+    kappa = max(top, 1 - rho) / min(top, 1 - rho)
+    assert x.shape == (n, p)
+    scale = np.abs(general).max(initial=0.0)
+    assert np.abs(x - general).max(initial=0.0) <= 1e-14 * max(1.0, kappa / 100) * scale

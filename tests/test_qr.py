@@ -7,6 +7,7 @@ import oracle
 from gaga import (
     GagaConfig,
     GramSystem,
+    InvalidInput,
     RankDeficient,
     RegressionProblem,
     gaga_fit,
@@ -101,6 +102,13 @@ class TestGagaQrFit:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.support, b.support)
         assert np.array_equal(a.tuning, b.tuning)
+
+    def test_more_columns_than_rows_rejected(self):
+        rng = np.random.default_rng(8)
+        problem = RegressionProblem(design=rng.standard_normal((5, 9)),
+                                    response=rng.standard_normal(5))
+        with pytest.raises(InvalidInput, match="need p <= n"):
+            gaga_qr_fit(problem, GagaConfig())
 
     @pytest.mark.parametrize("fit", [gaga_fit, gaga_qr_fit])
     def test_trace_is_in_design_column_order(self, fit):

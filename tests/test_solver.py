@@ -410,6 +410,20 @@ class TestConfigValidation:
         with pytest.raises(error):
             RegressionProblem(design=design, response=response)
 
+    def test_response_length_must_match_the_rows(self):
+        with pytest.raises(DimensionError, match="response length 3 != row count 4"):
+            RegressionProblem(design=np.ones((4, 2)), response=np.ones(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("field", ["design", "response"])
+    def test_non_finite_entry_rejected(self, field, position, value):
+        arrays = dict(design=np.arange(15.0).reshape(5, 3), response=np.arange(5.0))
+        flat = arrays[field].reshape(-1)
+        flat[{"first": 0, "middle": flat.size // 2, "last": -1}[position]] = value
+        with pytest.raises(InvalidInput, match="non-finite"):
+            RegressionProblem(**arrays)
+
     @pytest.mark.parametrize("tuning, error", [
         (np.array([1.0, 2.0, 3.0]), DimensionError),
         (np.array([1.0, -2.0]), InvalidInput),

@@ -17,7 +17,14 @@ timing column), and ``gaga fit`` and ``gaga fit --qr`` on one ``model2``
 instance, which the first tree saves as a CSV and both trees read. It takes
 about 15 s per tree on two cores.
 
-The result is one line, the class of the fits and then the CLI outputs:
+The result is two lines. The first is the class of the inputs, since a
+generator change makes the two trees fit different designs:
+
+- ``designs: bit-identical``: every design and response is equal;
+- ``designs differ``: with the worst relative gap, max |new - REV's| over
+  max |REV's| of a design or a response, and the input where it occurs.
+
+The second is the class of the fits and then the CLI outputs:
 
 - ``bit-identical``: every coefficient, tuning weight and variance is equal;
 - ``support identical``: with the worst coefficient gap, relative to
@@ -25,7 +32,7 @@ The result is one line, the class of the fits and then the CLI outputs:
 - ``support changed``: with the first fit whose support (or error) differs.
   The exit code is then 1; it is 2 when a tree cannot be exported or run.
 - ``CLI CSVs byte-identical``, or the commands whose CSVs differ. A
-  difference there does not change the exit code.
+  difference there, or in the inputs, does not change the exit code.
 """
 
 import argparse
@@ -84,15 +91,20 @@ def cli_csv(name):
     return name.replace(" --", "_") + ".csv"
 
 
-def run_fits(path):
-    """Fit every case in this process and save the results to ``path``."""
+def run_fits(out):
+    """Fit every case in this process. The results and the inputs' names go
+    to ``out/fits.npz``, and input i's design and response to
+    ``out/design{i}.npy`` and ``out/response{i}.npy``."""
     import gaga
 
     src = Path(os.environ["PYTHONPATH"])
     if Path(gaga.__file__).resolve().parent != (src / "gaga").resolve():
         raise SystemExit(f"imported gaga from {gaga.__file__}, not from {src}")
-    results = {}
-    for name, problem in inputs():
+    results, names = {}, []
+    for i, (name, problem) in enumerate(inputs()):
+        names.append(name)
+        np.save(out / f"design{i}.npy", problem.design)
+        np.save(out / f"response{i}.npy", problem.response)
         for fit in (gaga.gaga_fit, gaga.gaga_qr_fit):
             for mode in (gaga.FIXED, gaga.ESTIMATED):
                 key = f"{name}, {fit.__name__}, {mode}"
@@ -104,7 +116,7 @@ def run_fits(path):
                 results[key + "|coefficients"] = est.coefficients
                 results[key + "|tuning"] = est.tuning
                 results[key + "|variance"] = np.array(est.estimated_variance)
-    np.savez(path, **results)
+    np.savez(out / "fits.npz", inputs=np.array(names), **results)
 
 
 def outputs_of(src, out):
@@ -123,7 +135,25 @@ def outputs_of(src, out):
 
 def fit_keys(results):
     """Each fit's key, in the order the fits ran."""
-    return list(dict.fromkeys(key.split("|")[0] for key in results))
+    return list(dict.fromkeys(key.split("|")[0] for key in results if "|" in key))
+
+
+def compare_inputs(base_dir, new_dir, names):
+    """The line of the inputs' class, read from each tree's ``.npy`` files."""
+    worst, worst_at = 0.0, None
+    for i, name in enumerate(names):
+        for part in ("design", "response"):
+            a, b = (np.load(d / f"{part}{i}.npy", mmap_mode="r") for d in (base_dir, new_dir))
+            if a.shape != b.shape:
+                return f"designs differ: {part} shapes {a.shape} and {b.shape} at {name}"
+            if np.array_equal(a, b):
+                continue
+            gap = np.max(np.abs(a - b)) / np.max(np.abs(a))
+            if worst_at is None or gap > worst:
+                worst, worst_at = gap, f"{name} ({part})"
+    if worst_at is None:
+        return "designs: bit-identical"
+    return f"designs differ: worst relative gap {worst:.3g} at {worst_at}"
 
 
 def compare(base, new):
@@ -169,7 +199,7 @@ def main(argv):
     parser.add_argument("--outputs-to", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.outputs_to:
-        run_fits(args.outputs_to / "fits.npz")
+        run_fits(args.outputs_to)
         run_cli(args.outputs_to, args.outputs_to.parent / "model2.csv")
         return 0
     if not args.against:
@@ -185,6 +215,10 @@ def main(argv):
               f"{' '.join(f'{k}=1' for k in ONE_THREAD)}", flush=True)
         base, base_csvs = outputs_of(tree / "src", tree / "base")
         new, new_csvs = outputs_of(ROOT / "src", tree / "new")
+        if np.array_equal(base["inputs"], new["inputs"]):
+            print(compare_inputs(tree / "base", tree / "new", base["inputs"]), flush=True)
+        else:
+            print("designs differ: the two trees made different inputs")
     finally:
         shutil.rmtree(tree)
     line, code = compare(base, new)
