@@ -221,8 +221,8 @@ def gen_orthogonal(seed: int, n: int, p: int, beta_true, sigma_star) -> Generate
     roundoff: X'X is not exactly diagonal, so fits on it factorize."""
     beta_true = np.asarray(beta_true, dtype=float)
     sigma_star = np.asarray(sigma_star, dtype=float)
-    if integral(n, "n") < integral(p, "p"):
-        raise InvalidSize(f"need n >= p, got n={n}, p={p}")
+    if integral(p, "p") < 0 or integral(n, "n") < p:
+        raise InvalidSize(f"need p >= 0 and n >= p, got n={n}, p={p}")
     if beta_true.shape != (p,) or sigma_star.shape != (p,):
         raise InvalidInput("beta_true/sigma_star must have length p")
     if not (sigma_star > 0).all():

@@ -1,5 +1,6 @@
 """Dense SPD kernel: gram construction and a solve that also returns the
-diagonal of the inverse.
+diagonal of the inverse, and the QR variant's least-squares solve, which
+factorizes its gram in place.
 
 Only the active block of a system is factorized: a coordinate whose penalty
 dwarfs its own gram diagonal is frozen and solved by its diagonal. The block
@@ -84,7 +85,7 @@ def is_diagonal(mat) -> bool:
     return np.count_nonzero(mat) == np.count_nonzero(np.diagonal(mat))
 
 
-def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
+def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs):
     """Solve (gram + diag(penalty_diag)) s = rhs and return (s, diag of inverse).
 
     The gram's shape picks the method. A length-p vector is the diagonal of a
@@ -95,12 +96,12 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
     only the block A of the others is factorized, and a frozen j gets
     s_j = (rhs_j - G_jA s_A) / (G_jj + b_j) and inverse diagonal
     1 / (G_jj + b_j). The block's Cholesky factor L and its two triangular
-    solves (``dpotrs``) give s_A, and with ``inverse`` the block's inverse
-    diagonal comes from W = L^-1, which LAPACK inverts in place. Above
-    ``BLOCK`` coordinates with ``inverse``, ``_inverse_factor`` builds W by
-    block recursion instead, and s_A = W'W rhs_A. Without ``inverse`` the
-    second output is None. A failed pivot is reported at its coordinate in
-    the whole system; a NaN penalty or a non-finite output raises.
+    solves (``dpotrs``) give s_A, and the block's inverse diagonal comes from
+    W = L^-1, which LAPACK inverts in place. Above ``BLOCK`` coordinates
+    ``_inverse_factor`` builds W by block recursion instead, and
+    s_A = W'W rhs_A. The caller's gram is never written. A failed pivot is
+    reported at its coordinate in the whole system; a NaN penalty or a
+    non-finite output raises.
     """
     gram = np.asarray(gram, dtype=float)
     penalty_diag = np.asarray(penalty_diag, dtype=float)
@@ -125,28 +126,55 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs, inverse=True):
         sol, inv_diag = np.zeros(p), np.empty(p)
         if active.size:
             sol[active], inv_diag[active] = _solve_block(
-                gram, active, penalty_diag, rhs, inverse)
+                gram, active, penalty_diag, rhs)
         if active.size < p:
             dead = np.flatnonzero(frozen)
             inv_diag[dead] = 1.0 / (gram_diag[dead] + penalty_diag[dead])
             # sol is still zero on the frozen coordinates, so G sol there is G_FA sol_A.
             sol[dead] = (rhs[dead] - matvec(gram, sol)[dead]) * inv_diag[dead]
-    # O(p) checks for what the rank rule cannot see: a non-finite rhs, a
-    # non-finite gram entry outside the factorized block, or an overflow.
-    if not (np.isfinite(sol).all() and (not inverse or np.isfinite(inv_diag).all())):
+    _require_finite(sol, inv_diag)
+    return sol, inv_diag
+
+
+def spd_solve_in_place(gram, rhs):
+    """Solve gram s = rhs, unpenalized and without the inverse diagonal, in
+    the gram's own buffer; return s and a copy of the gram's diagonal.
+
+    A length-p gram is a diagonal system and takes the kernel's closed form.
+    A matrix must be exactly symmetric. ``dpotrf`` overwrites it in place when
+    it is C- or Fortran-contiguous, and ``clean=0`` keeps G's off-diagonal
+    entries in the strict lower triangle of its C-order view. The rank rule
+    and the reading of a failed pivot are the kernel's.
+    """
+    if gram.ndim == 1:
+        return spd_solve_with_inverse_diagonal(gram, np.zeros(gram.size), rhs)[0], gram
+    # A symmetric gram's Fortran-order view is the matrix itself.
+    fortran = gram if gram.flags.f_contiguous else gram.T
+    diagonal = np.diagonal(fortran).copy()
+    index = np.arange(diagonal.size)
+    c, info = lapack.dpotrf(fortran, lower=1, overwrite_a=1, clean=0)
+    check_factorization(info, index)
+    check_rank(np.diagonal(c) ** 2, diagonal, index)
+    sol = lapack.dpotrs(c, np.asarray(rhs, dtype=float)[:, None], lower=1)[0][:, 0]
+    _require_finite(sol)
+    return sol, diagonal
+
+
+def _require_finite(*outputs):
+    """O(p) checks for what the rank rule cannot see: a non-finite rhs, a
+    non-finite gram entry outside the factorized block, or an overflow."""
+    if not all(np.isfinite(a).all() for a in outputs):
         raise InvalidInput("the solve gave a non-finite value: the gram or rhs has "
                            "a non-finite entry, or the solution overflows")
-    return sol, inv_diag if inverse else None
 
 
-def _solve_block(gram, index, penalty, rhs, inverse):
-    """The solution and the inverse diagonal (NaN without ``inverse``) of
-    the system restricted to the coordinates ``index``; the other arguments
-    are the kernel's."""
+def _solve_block(gram, index, penalty, rhs):
+    """The solution and the inverse diagonal of the system restricted to the
+    coordinates ``index``; the other arguments are the kernel's."""
     # A symmetric gram is its own transpose, so every gather reads rows of a
     # C-order view, in whichever order the gram is stored.
     rows = gram.T if gram.flags.f_contiguous else gram
-    if inverse and index.size > BLOCK:
+    if index.size > BLOCK:
         return _solve_by_inverse_factor(rows, index, penalty, rhs)
     a = _gather(rows, index, index)
     a[np.diag_indices(index.size)] += penalty[index]
@@ -154,8 +182,6 @@ def _solve_block(gram, index, penalty, rhs, inverse):
     check_rank(np.diagonal(c) ** 2, np.diagonal(rows)[index], index)
 
     sol = lapack.dpotrs(c, rhs[index, None], lower=1)[0][:, 0]
-    if not inverse:
-        return sol, np.nan
     linv = lapack.dtrtri(c, lower=1, overwrite_c=1)[0]
     return sol, np.einsum("ij,ij->j", linv, linv)
 

@@ -7,6 +7,13 @@ permuted gram P'X'XP and Q'y as R^-T P'X'y (CholeskyQR), so after the gram is
 built the design is not touched again. The price is the accuracy of the
 normal equations, as in ``gaga_fit``: R and Q'y are good to about
 cond(X)^2 * eps, where a Householder QR of X gets cond(X) * eps.
+
+A fit holds one p×p array, the gram that ``build_gram`` returns to it, and
+factorizes, restores and permutes it in place. The least-squares solve
+factorizes it and keeps the other triangle and a copy of the diagonal. The
+overwritten triangle is then copied back from the intact one, the diagonal
+put back, the rows permuted by cycles and the columns a few rows at a time,
+and LAPACK factorizes P'GP into R in the same buffer.
 """
 
 import dataclasses
@@ -15,39 +22,84 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .errors import InvalidInput, RankDeficient, SingularSystem
-from .linalg import build_gram, check_factorization, check_rank, spd_solve_with_inverse_diagonal
+from .linalg import build_gram, check_factorization, check_rank, spd_solve_in_place
 from .solver import fit_gram
 from .types import GagaConfig, GramSystem, RegressionProblem, SignalEstimate
 
+# The overwritten triangle is copied back in strips of RESTORE columns, and
+# the columns are permuted a block of at most PERMUTE floats at a time.
+RESTORE = 256
+PERMUTE = 2 ** 15
+
 
 def _ols_permutation(problem: RegressionProblem):
+    """The gram system, the diagonal of its gram, and the column order by
+    decreasing |OLS|. A p×p gram is left holding its Cholesky factor in one
+    triangle and G in the other (see ``spd_solve_in_place``)."""
     if problem.p > problem.n:
         raise InvalidInput("need p <= n for the QR variant")
     gs = build_gram(problem)
     try:
-        ols, _ = spd_solve_with_inverse_diagonal(
-            gs.gram, np.zeros(problem.p), gs.cross, inverse=False)
+        ols, diagonal = spd_solve_in_place(gs.gram, gs.cross)
     except SingularSystem as exc:
         raise RankDeficient(pivot=exc.pivot) from exc
     # Stable sort keeps original order on |ols| ties.
     perm = np.argsort(-np.abs(ols), kind="stable")
-    return gs, perm
+    return gs, diagonal, perm
 
 
-def _cholesky_qr(gram_system: GramSystem, perm):
-    """R (upper triangle only; the lower one is not cleared) and Q'y of the
-    column-permuted design from its gram alone: R'R = P'X'XP, Q'y = R^-T P'X'y.
-    The kernel's rank rule judges R; a failed pivot is named by its design column."""
+def _restore(rows, diagonal):
+    """Copy the strict lower triangle of the square ``rows`` onto its upper
+    one, a strip of ``RESTORE`` columns at a time, and put ``diagonal`` back."""
+    p = rows.shape[0]
+    for a in range(0, p, RESTORE):
+        b = min(a + RESTORE, p)
+        rows[:a, a:b] = rows[a:b, :a].T
+        # The strip's diagonal block is its own source: a column at a time.
+        for i in range(a + 1, b):
+            rows[a:i, i] = rows[i, a:i]
+    np.fill_diagonal(rows, diagonal)
+
+
+def _permute(rows, perm):
+    """rows[np.ix_(perm, perm)], in place: the rows by cycles, with one row
+    saved per cycle, and then the columns of a block of rows at a time."""
+    p = rows.shape[0]
+    order, done = perm.tolist(), bytearray(p)
+    for start in range(p):
+        if done[start] or order[start] == start:
+            continue
+        saved, i = rows[start].copy(), start
+        while order[i] != start:
+            rows[i] = rows[order[i]]
+            done[i] = 1
+            i = order[i]
+        rows[i] = saved
+        done[i] = 1
+    step = max(1, PERMUTE // p)
+    for a in range(0, p, step):
+        rows[a:a + step] = rows[a:a + step, perm]
+
+
+def _cholesky_qr(gram_system: GramSystem, diagonal, perm):
+    """R (upper triangle only; ``dpotrf`` clears the lower one) and Q'y of the
+    column-permuted design from its gram alone: R'R = P'X'XP,
+    Q'y = R^-T P'X'y. A p×p gram, left by ``_ols_permutation`` with its
+    ``diagonal``, becomes R in its own buffer. The kernel's rank rule judges
+    R; a failed pivot is named by its design column."""
     gram = gram_system.gram
     if gram.ndim == 1:  # an orthogonal design
-        gram = np.diag(gram)
+        rows = np.diag(gram[perm])
+    else:
+        rows = gram.T if gram.flags.f_contiguous else gram
+        _restore(rows, diagonal)
+        _permute(rows, perm)
     # P'GP is symmetric, so its transpose is the same matrix in the Fortran
-    # order LAPACK factorizes in place, without another p×p copy.
-    permuted = gram[np.ix_(perm, perm)].T
-    r, info = lapack.dpotrf(permuted, lower=0, overwrite_a=1)
+    # order LAPACK factorizes in place.
+    r, info = lapack.dpotrf(rows.T, lower=0, overwrite_a=1)
     try:
         check_factorization(info, perm)
-        check_rank(np.diagonal(r) ** 2, gram_system.diagonal[perm], perm)
+        check_rank(np.diagonal(r) ** 2, diagonal[perm], perm)
     except SingularSystem as exc:
         raise RankDeficient(pivot=exc.pivot) from exc
     return r, lapack.dtrtrs(r, gram_system.cross[perm], lower=0, trans=1)[0]
@@ -65,8 +117,8 @@ def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = GagaConfig()) -
     Tuning weights and traced states are in design-column order, but a traced
     beta and inverse diagonal are values of the rotated basis.
     """
-    gs, perm = _ols_permutation(problem)
-    r_factor, qty = _cholesky_qr(gs, perm)
+    gs, diagonal, perm = _ols_permutation(problem)
+    r_factor, qty = _cholesky_qr(gs, diagonal, perm)
     inner = GramSystem(gram=np.ones(problem.p), cross=qty, response_sq_norm=gs.response_sq_norm)
     theta = fit_gram(inner, problem.n, config)
     beta_new = solve_triangular(r_factor, theta.coefficients, lower=False)

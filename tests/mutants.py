@@ -55,6 +55,7 @@ VALIDATION = "tests/test_solver.py::TestConfigValidation"
 SWEEP = "tests/test_harness.py::TestConsistencySweep"
 SIZES = "tests/test_datagen.py::TestIntegerSizesAndSeeds::test_non_integer_rejected"
 NEGATIVE = "tests/test_datagen.py::TestIntegerSizesAndSeeds::test_negative_"
+IN_PLACE_QR = "tests/test_qr.py::TestInPlaceCholeskyQr"
 
 MUTANTS = (
     Mutant("frozen coupling dropped", "src/gaga/linalg.py",
@@ -74,8 +75,8 @@ MUTANTS = (
            " & (gram_diag > 0)", "",
            ("tests/test_linalg.py::TestSpdSolve::test_non_pd_reports_pivot",)),
     Mutant("active block gathered from the leading coordinates", "src/gaga/linalg.py",
-           "gram, active, penalty_diag, rhs, inverse)",
-           "gram, np.arange(active.size), penalty_diag, rhs, inverse)",
+           "gram, active, penalty_diag, rhs)",
+           "gram, np.arange(active.size), penalty_diag, rhs)",
            (FREEZING + "::test_frozen_coordinates_match_explicit_inverse",
             FREEZING + "::test_frozen_coordinates_above_block")),
     # The one rank check judges both fits' factors, so both tests see it.
@@ -85,8 +86,8 @@ MUTANTS = (
            ("tests/test_solver.py::TestActiveSet::test_active_block_failure_reports_its_coordinate",
             QR_PIVOT)),
     Mutant("QR pivot reported by its permuted position", "src/gaga/qr.py",
-           "check_rank(np.diagonal(r) ** 2, gram_system.diagonal[perm], perm)",
-           "check_rank(np.diagonal(r) ** 2, gram_system.diagonal[perm], np.arange(perm.size))",
+           "check_rank(np.diagonal(r) ** 2, diagonal[perm], perm)",
+           "check_rank(np.diagonal(r) ** 2, diagonal[perm], np.arange(perm.size))",
            (QR_PIVOT,)),
     # The selection floor's false-positive rate is 0.0167 (z = +0.75) as the
     # code stands, 0.0067 (z = -7.3) at 1.25 alpha and 0.0123 (z = -2.8) at
@@ -125,9 +126,8 @@ MUTANTS = (
            (RECURSION + "::test_matches_explicit_inverse",
             RECURSION + "::test_accuracy_matches_unblocked_kernel")),
     Mutant("QR ordering outside the kernel", "src/gaga/qr.py",
-           "ols, _ = spd_solve_with_inverse_diagonal(\n"
-           "            gs.gram, np.zeros(problem.p), gs.cross, inverse=False)",
-           "ols = np.linalg.solve(gs.gram, gs.cross)",
+           "ols, diagonal = spd_solve_in_place(gs.gram, gs.cross)",
+           "ols, diagonal = np.linalg.solve(gs.gram, gs.cross), gs.diagonal.copy()",
            ("tests/test_counts.py::test_qr_fit_counts",
             "tests/test_counts.py::test_per_layer_record_has_no_null[gaga.qr-gaga_qr_fit]")),
     Mutant("QR trace left in OLS order", "src/gaga/qr.py",
@@ -170,7 +170,7 @@ MUTANTS = (
            "np.flatnonzero(pivot_sq <= 1e-10 * gram_diag)",
            (NON_FINITE + "::test_nan_diagonal_system",)),
     Mutant("non-finite solution returned", "src/gaga/linalg.py",
-           "if not (np.isfinite(sol).all() and (not inverse or np.isfinite(inv_diag).all())):",
+           "if not all(np.isfinite(a).all() for a in outputs):",
            "if False:",
            (NON_FINITE + "::test_nan_rhs",
             NON_FINITE + "::test_nan_gram_entry_of_a_frozen_coordinate",
@@ -286,13 +286,31 @@ MUTANTS = (
     Mutant("non-integer consistency n", "src/gaga/datagen.py",
            'if integral(n, "n") < p:', "if n < p:", (SIZES + "[consistency-n]",)),
     Mutant("non-integer orthogonal sizes", "src/gaga/datagen.py",
-           'if integral(n, "n") < integral(p, "p"):', "if n < p:",
+           'if integral(p, "p") < 0 or integral(n, "n") < p:', "if p < 0 or n < p:",
            (SIZES + "[orthogonal-n]", SIZES + "[orthogonal-p]",
             "tests/test_harness.py::TestValidateTheorems::test_non_integer_n")),
     Mutant("negative seed reaches SeedSequence", "src/gaga/datagen.py",
            "if value < 0:", "if False:", (NEGATIVE + "seed_rejected",)),
     Mutant("negative p reaches the highdim draw", "src/gaga/datagen.py",
            'if integral(p, "p") < 0:', "if False:", (NEGATIVE + "size_rejected[highdim-p]",)),
+    Mutant("negative orthogonal sizes reach the length check", "src/gaga/datagen.py",
+           'integral(p, "p") < 0 or integral(n, "n") < p', 'integral(n, "n") < integral(p, "p")',
+           (NEGATIVE + "size_rejected[orthogonal-p]", NEGATIVE + "size_rejected[orthogonal-n]")),
+    Mutant("QR gram permuted by a copy", "src/gaga/qr.py",
+           "        _permute(rows, perm)", "        rows = rows[np.ix_(perm, perm)]",
+           ("tests/test_counts.py::test_qr_fit_peak_memory",
+            IN_PLACE_QR + "::test_fit_factorizes_the_gram_in_place")),
+    Mutant("least-squares factor clears G's other triangle", "src/gaga/linalg.py",
+           "lower=1, overwrite_a=1, clean=0)", "lower=1, overwrite_a=1, clean=1)",
+           (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",
+            IN_PLACE_QR + "::test_fit_factorizes_the_gram_in_place")),
+    Mutant("QR gram diagonal not restored", "src/gaga/qr.py",
+           "    np.fill_diagonal(rows, diagonal)\n", "",
+           (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",
+            IN_PLACE_QR + "::test_fit_factorizes_the_gram_in_place")),
+    Mutant("last partial strip of the QR gram not restored", "src/gaga/qr.py",
+           "for a in range(0, p, RESTORE):", "for a in range(0, p - p % RESTORE, RESTORE):",
+           (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",)),
 )
 
 

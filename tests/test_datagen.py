@@ -322,7 +322,9 @@ class TestIntegerSizesAndSeeds:
         lambda: gen_highdim(0, 10, -1),
         lambda: gen_highdim(0, -1, 10),
         lambda: correlated_gaussian_rows(np.eye(3), -2, stream_rng(0, "design")),
-    ], ids=["highdim-p", "highdim-n", "rows-n"])
+        lambda: gen_orthogonal(0, 10, -1, [], []),
+        lambda: gen_orthogonal(0, -1, -2, [], []),
+    ], ids=["highdim-p", "highdim-n", "rows-n", "orthogonal-p", "orthogonal-n"])
     def test_negative_size_rejected(self, call):
         with pytest.raises(InvalidSize, match="need [np] >= 0"):
             call()

@@ -21,6 +21,7 @@ from gaga.linalg import (
     FREEZE_RATIO,
     inverse_diagonal,
     is_diagonal,
+    spd_solve_in_place,
     spd_solve_with_inverse_diagonal,
 )
 
@@ -179,48 +180,115 @@ class TestSpdSolve:
                 np.eye(3), np.zeros(penalty_len), np.ones(rhs_len))
 
 
-@pytest.mark.parametrize("inverse", [True, False])
-@pytest.mark.parametrize("p", [5, 200])  # one LAPACK block; the recursion
+SIZES = pytest.mark.parametrize("p", [5, 200])  # one LAPACK block; the recursion
+EITHER_SOLVE = pytest.mark.parametrize("inverse", [True, False])
+KERNEL_ONLY = pytest.mark.parametrize("inverse", [True])  # only the kernel takes a penalty
+
+
 class TestNonFiniteInput:
     """A NaN anywhere in a system gives a typed error, never a NaN output.
-    The checks are O(p): the penalties, the factor's pivots and the output."""
+    The checks are O(p): the penalties, the factor's pivots and the output.
+    ``inverse`` picks the solve: the kernel, which also returns the inverse
+    diagonal, or without it the in-place solve, which takes no penalty."""
 
     @staticmethod
     def system(p):
         return random_spd(np.random.default_rng(p), p), np.zeros(p), np.ones(p)
 
+    @staticmethod
+    def solve(gram, penalty, rhs, inverse):
+        if inverse:
+            return spd_solve_with_inverse_diagonal(gram, penalty, rhs)
+        assert not penalty.any()
+        return spd_solve_in_place(gram, rhs)
+
+    @KERNEL_ONLY
+    @SIZES
     def test_nan_penalty(self, p, inverse):
         gram, penalty, rhs = self.system(p)
         penalty[3] = np.nan
         with pytest.raises(InvalidInput, match="penalty"):
-            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+            self.solve(gram, penalty, rhs, inverse)
 
+    @EITHER_SOLVE
+    @SIZES
     def test_nan_rhs(self, p, inverse):
         gram, penalty, rhs = self.system(p)
         rhs[3] = np.nan
         with pytest.raises(InvalidInput, match="non-finite"):
-            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+            self.solve(gram, penalty, rhs, inverse)
 
+    @EITHER_SOLVE
+    @SIZES
     @pytest.mark.parametrize("i, j", [(3, 1), (3, 3)])
     def test_nan_gram_entry_is_a_failed_pivot(self, p, inverse, i, j):
         gram, penalty, rhs = self.system(p)
         gram[i, j] = gram[j, i] = np.nan
         with pytest.raises(SingularSystem):
-            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+            self.solve(gram, penalty, rhs, inverse)
 
+    @KERNEL_ONLY
+    @SIZES
     def test_nan_gram_entry_of_a_frozen_coordinate(self, p, inverse):
         # The factorization never reads a frozen coordinate's row.
         gram, penalty, rhs = self.system(p)
         gram[3, 1] = gram[1, 3] = np.nan
         penalty[3] = 2 * FREEZE_RATIO * gram[3, 3]
         with pytest.raises(InvalidInput, match="non-finite"):
-            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+            self.solve(gram, penalty, rhs, inverse)
 
+    @EITHER_SOLVE
+    @SIZES
     def test_nan_diagonal_system(self, p, inverse):
         gram, penalty, rhs = np.ones(p), np.zeros(p), np.ones(p)
         gram[3] = np.nan
         with pytest.raises(SingularSystem):
-            spd_solve_with_inverse_diagonal(gram, penalty, rhs, inverse)
+            self.solve(gram, penalty, rhs, inverse)
+
+
+class TestInPlaceSolve:
+    """The unpenalized solve of the QR variant's ordering, which overwrites
+    one triangle of its gram with the Cholesky factor."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [7, 300])
+    def test_factor_overwrites_one_triangle(self, order, p):
+        rng = np.random.default_rng(p)
+        g = random_spd(rng, p)
+        rhs = rng.standard_normal(p)
+        gram = np.array(g, order=order)
+        sol, diagonal = spd_solve_in_place(gram, rhs)
+        assert np.allclose(sol, np.linalg.solve(g, rhs), atol=0, rtol=1e-10)
+        assert np.array_equal(diagonal, np.diagonal(g))
+        # The C-order view's strict lower triangle is G's; its upper one,
+        # with the diagonal, is L', as in the Fortran-order buffer LAPACK wrote.
+        rows = gram.T if order == "F" else gram
+        lower = np.tril_indices(p, -1)
+        assert np.array_equal(rows[lower], g[lower])
+        factor = np.triu(rows).T
+        assert np.abs(factor @ factor.T - g).max() <= 1e-13 * np.abs(g).max()
+
+    def test_factor_matches_the_kernel_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        g = random_spd(rng, 60)
+        rhs = rng.standard_normal(60)
+        sol, diagonal = spd_solve_in_place(g.copy(), rhs)
+        ref, _ = spd_solve_with_inverse_diagonal(g, np.zeros(60), rhs)
+        assert np.array_equal(sol, ref)
+
+    def test_diagonal_system_takes_the_closed_form(self):
+        gram, rhs = np.array([2.0, 0.5, 4.0]), np.array([1.0, -3.0, 2.0])
+        sol, diagonal = spd_solve_in_place(gram, rhs)
+        assert np.array_equal(sol, rhs / gram)
+        assert diagonal is gram and np.array_equal(gram, [2.0, 0.5, 4.0])
+
+    def test_failed_pivot_names_its_coordinate(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((30, 5))
+        x[:, 3] = x[:, 1]
+        with pytest.raises(SingularSystem) as exc:
+            spd_solve_in_place(x.T @ x, rng.standard_normal(5))
+        assert exc.value.pivot == 3
 
 
 class TestFreezing:
@@ -446,8 +514,8 @@ class TestInverseFactorRecursion:
         rng = np.random.default_rng(8)
         g = random_spd(rng, 300)
         rhs = rng.standard_normal(300)
-        sol, d = spd_solve_with_inverse_diagonal(g, np.zeros(300), rhs, inverse=False)
-        assert d is None and not dtrmm_calls
+        sol, diagonal = spd_solve_in_place(g.copy(), rhs)
+        assert np.array_equal(diagonal, np.diagonal(g)) and not dtrmm_calls
         assert np.allclose(sol, np.linalg.solve(g, rhs), atol=0, rtol=1e-10)
 
 

@@ -122,7 +122,7 @@ def test_qr_fit_matches_oracle(mode, problem):
     band = max(NEAR_TIE, accuracy)
     got, ref = gaga_qr_fit(problem, config), oracle.qr_fit(problem, config)
     # A different column order is a different fit, not a rounding gap.
-    _, perm = _ols_permutation(problem)
+    _, _, perm = _ols_permutation(problem)
     assert np.array_equal(perm, oracle.plan_qr(problem).permutation)
     # The margins are those of the inner fit, in the rotated basis, where one
     # flipped coordinate moves every coefficient of the back-substitution.

@@ -15,7 +15,8 @@ from gaga import (
 )
 from gaga.datagen import correlated_gaussian_rows, gen_model2
 from gaga.metrics import acc
-from gaga.qr import _ols_permutation
+from gaga.linalg import build_gram, spd_solve_in_place
+from gaga.qr import _cholesky_qr, _ols_permutation
 from gaga.solver import fit_gram
 
 
@@ -27,7 +28,7 @@ def orthonormal_problem():
 
 
 def ols_permutation(problem):
-    _, perm = _ols_permutation(problem)
+    _, _, perm = _ols_permutation(problem)
     return perm
 
 
@@ -211,12 +212,25 @@ class TestCholeskyQr:
         gap = np.abs(got - ref).max() / np.abs(ref).max()
         assert gap <= kappa**2 * np.finfo(float).eps
 
-    def test_duplicated_column_rank_deficient(self):
+    @staticmethod
+    def duplicated_column_problem():
         rng = np.random.default_rng(4)
         x = rng.standard_normal((30, 4))
         x[:, 2] = x[:, 1]
-        with pytest.raises(RankDeficient):
-            gaga_qr_fit(RegressionProblem(design=x, response=rng.standard_normal(30)))
+        return RegressionProblem(design=x, response=rng.standard_normal(30))
+
+    def test_duplicated_column_rank_deficient(self):
+        # The least-squares factor fails at the copy, column 2.
+        with pytest.raises(RankDeficient) as exc:
+            gaga_qr_fit(self.duplicated_column_problem())
+        assert exc.value.pivot == 2
+
+    def test_duplicated_column_fails_the_permuted_factor(self):
+        # In this order column 2 comes before its copy, column 1.
+        gs = build_gram(self.duplicated_column_problem())
+        with pytest.raises(RankDeficient) as exc:
+            _cholesky_qr(gs, gs.diagonal.copy(), np.array([2, 0, 3, 1]))
+        assert exc.value.pivot == 1
 
     def test_failed_pivot_is_named_by_its_design_column(self):
         # x2 = x0 + x1 + 1e-5 noise, columns scaled and shuffled. The last
@@ -233,6 +247,78 @@ class TestCholeskyQr:
         with pytest.raises(RankDeficient) as exc:
             gaga_qr_fit(pr)
         assert exc.value.pivot == 1
+
+
+class TestInPlaceCholeskyQr:
+    """The fit factorizes, restores and permutes its one p×p gram in place."""
+
+    @pytest.fixture
+    def factored(self, monkeypatch):
+        """Each matrix handed to ``gaga.qr``'s ``dpotrf``, as a copy taken
+        before the call and the array itself."""
+        real, seen = gaga.qr.lapack, []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(real, name)
+
+            def dpotrf(self, a, **kwargs):
+                seen.append((a.copy(), a))
+                return real.dpotrf(a, **kwargs)
+
+        monkeypatch.setattr(gaga.qr, "lapack", Recording())
+        return seen
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("p", [257, 513])  # the last strip is one column wide
+    def test_permuted_buffer_is_the_fancy_index_copy(self, factored, order, p):
+        rng = np.random.default_rng(p)
+        x = rng.standard_normal((p + 20, p))
+        g = x.T @ x
+        cross = x.T @ rng.standard_normal(p + 20)
+        gram = np.array(g, order=order)
+        ols, diagonal = spd_solve_in_place(gram, cross)
+        perm = np.argsort(-np.abs(ols), kind="stable")
+        gs = GramSystem(gram=gram, cross=cross, response_sq_norm=1.0)
+        assert gs.gram is gram
+        _cholesky_qr(gs, diagonal, perm)
+        [(permuted, buffer)] = factored
+        assert np.array_equal(permuted, g[np.ix_(perm, perm)])
+        assert np.shares_memory(buffer, gram)
+
+    def test_fit_factorizes_the_gram_in_place(self, factored, monkeypatch):
+        real, grams = gaga.qr.build_gram, []
+
+        def kept(problem):
+            grams.append(real(problem))
+            return grams[-1]
+
+        monkeypatch.setattr(gaga.qr, "build_gram", kept)
+        problem = equicorrelated_problem(1, p=40)
+        gaga_qr_fit(problem, GagaConfig())
+        [(permuted, buffer)] = factored
+        perm = ols_permutation(problem)
+        assert np.array_equal(permuted, build_gram(problem).gram[np.ix_(perm, perm)])
+        assert np.shares_memory(buffer, grams[0].gram)
+
+    def test_exactly_diagonal_gram_takes_the_closed_form(self, monkeypatch):
+        # Disjoint row supports make X'X exactly diagonal; the scales put the
+        # columns out of order.
+        rng = np.random.default_rng(6)
+        x = np.kron(np.eye(6), np.ones((5, 1))) * rng.standard_normal((30, 6))
+        x *= [0.5, 3.0, 1.0, 8.0, 0.1, 2.0]
+        problem = RegressionProblem(design=x, response=x @ [2.0, 0, 1.0, 0, 4.0, 0.5]
+                                    + 0.1 * rng.standard_normal(30))
+        assert build_gram(problem).gram.ndim == 1
+        assert not np.array_equal(ols_permutation(problem), np.arange(6))
+        est = gaga_qr_fit(problem, GagaConfig())
+        # The same fit through the p×p path, with the gram kept as a matrix.
+        monkeypatch.setattr(gaga.linalg, "is_diagonal", lambda mat: False)
+        assert build_gram(problem).gram.ndim == 2
+        dense = gaga_qr_fit(problem, GagaConfig())
+        assert np.array_equal(est.coefficients, dense.coefficients)
+        assert np.array_equal(est.tuning, dense.tuning)
+        assert est.support.any()
 
 
 class TestDiagonalDecidedOnce:

@@ -9,8 +9,10 @@ fixed list of fits then runs in each tree, in a subprocess of its own at one
 BLAS thread, since fits at one and at two OpenBLAS threads differ in the last
 bits. The list: ``gaga_fit`` and ``gaga_qr_fit``, fixed and estimated
 variance, on the first 20 replicate seeds of ``model1`` and ``model2``, the
-first 3 of ``highdim``, and the criterion-8 inputs
-``gen_highdim(replicate_seed(0, 0), 4000, p)`` at p = 500, 1000 and 2000.
+first 3 of ``highdim``, the criterion-8 inputs
+``gen_highdim(replicate_seed(0, 0), 4000, p)`` at p = 500, 1000 and 2000,
+and one design whose X'X is exactly diagonal, on which ``gaga_qr_fit`` takes
+its closed-form ordering.
 Each tree also runs three CLI commands in process: a ``gaga experiment`` of
 10 ``model1`` replicates with ``gaga,gaga_qr`` in estimated variance (no
 timing column), and ``gaga fit`` and ``gaga fit --qr`` on one ``model2``
@@ -68,6 +70,18 @@ def inputs():
     for p in CRITERION_8:
         instance = datagen.gen_highdim(datagen.replicate_seed(0, 0), 4000, p)
         yield f"criterion 8 p={p}", instance.problem
+    yield "exactly diagonal X'X", exactly_diagonal()
+
+
+def exactly_diagonal(p=8, rows=5):
+    """Columns with disjoint row supports, so X'X is exactly diagonal, and
+    scales that put them out of order; every other coefficient is 2."""
+    from gaga import RegressionProblem, datagen
+
+    x = np.kron(np.eye(p), np.ones((rows, 1)))
+    x *= datagen.stream_rng(0, "design").standard_normal(x.shape) * np.geomspace(0.1, 10.0, p)
+    y = x @ np.resize([2.0, 0.0], p) + datagen.stream_rng(0, "noise").standard_normal(p * rows)
+    return RegressionProblem(design=x, response=y)
 
 
 def run_cli(out, instance):
