@@ -72,7 +72,7 @@ class ExternalEstimates:
     The file is read by ``read_matrix``: rows ``replicate,b1,...,bp``, with an
     optional header and '#' comment lines anywhere. A comment may declare
     ``snap=<tol>`` (spaces allowed around '=') to zero out entries with
-    |v| <= tol.
+    |v| <= tol; a tol that is not a number >= 0 is an error.
     """
 
     def __init__(self, path, name="external"):
@@ -82,7 +82,13 @@ class ExternalEstimates:
         for text in comments:
             directive = re.search(r"snap\s*=([^,]*)", text)
             if directive:
-                snap = float(directive.group(1))
+                value = directive.group(1).strip()
+                try:
+                    snap = float(value)
+                except ValueError:
+                    snap = math.nan
+                if not snap >= 0:
+                    raise InvalidInput(f"{path}: snap must be a number >= 0, got {value!r}")
         replicates, vals = data[:, 0], data[:, 1:]
         if np.any(replicates % 1 != 0):
             raise InvalidInput(f"{path}: replicate numbers must be integers")
@@ -151,6 +157,8 @@ def _run_replicate(spec: ExperimentSpec, replicate: int):
             coef = estimator.coefficients(instance, replicate)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             report = acc(coef, instance.beta_true)
+            if not math.isfinite(report.err):
+                raise InvalidInput(f"non-finite estimation error {report.err}")
         except (GagaError, np.linalg.LinAlgError) as exc:
             row["status"] = type(exc).__name__
         else:

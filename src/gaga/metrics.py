@@ -33,9 +33,11 @@ def _check_lengths(estimate, truth):
 
 
 def err(estimate, truth) -> float:
-    """Euclidean distance between estimate and truth."""
+    """Euclidean distance between estimate and truth; one that overflows is
+    inf, without a warning."""
     estimate, truth = _check_lengths(estimate, truth)
-    return float(np.linalg.norm(estimate - truth))
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(estimate - truth))
 
 
 def acc(estimate, truth) -> EvaluationReport:

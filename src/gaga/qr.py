@@ -9,11 +9,11 @@ normal equations, as in ``gaga_fit``: R and Q'y are good to about
 cond(X)^2 * eps, where a Householder QR of X gets cond(X) * eps.
 
 A fit holds one p×p array, the gram that ``build_gram`` returns to it, and
-factorizes, restores and permutes it in place. The least-squares solve
-factorizes it and keeps the other triangle and a copy of the diagonal. The
-overwritten triangle is then copied back from the intact one, the diagonal
-put back, the rows permuted by cycles and the columns a few rows at a time,
-and LAPACK factorizes P'GP into R in the same buffer.
+works in that buffer. The least-squares solve factorizes G in one triangle
+and keeps G's off-diagonal entries in the other, with a copy of the
+diagonal. Each row of G is then gathered from these into the overwritten
+triangle, at its permuted place, and copied onto the other one, and LAPACK
+factorizes P'GP into R in the same buffer.
 """
 
 import dataclasses
@@ -26,10 +26,9 @@ from .linalg import build_gram, check_factorization, check_rank, spd_solve_in_pl
 from .solver import fit_gram
 from .types import GagaConfig, GramSystem, RegressionProblem, SignalEstimate
 
-# The overwritten triangle is copied back in strips of RESTORE columns, and
-# the columns are permuted a block of at most PERMUTE floats at a time.
+# The permuted upper triangle is copied onto the lower one in strips of
+# RESTORE columns.
 RESTORE = 256
-PERMUTE = 2 ** 15
 
 
 def _ols_permutation(problem: RegressionProblem):
@@ -48,37 +47,24 @@ def _ols_permutation(problem: RegressionProblem):
     return gs, diagonal, perm
 
 
-def _restore(rows, diagonal):
-    """Copy the strict lower triangle of the square ``rows`` onto its upper
-    one, a strip of ``RESTORE`` columns at a time, and put ``diagonal`` back."""
+def _permute_in_place(rows, diagonal, perm):
+    """P'GP in the square ``rows``, from G in its strict lower triangle and
+    ``diagonal``. Each row of G is gathered, in source order, into the upper
+    triangle of its permuted row; the reads all lie in the strict lower
+    triangle, so none is overwritten first. The upper triangle is then
+    copied onto the lower one, a strip of ``RESTORE`` columns at a time."""
     p = rows.shape[0]
+    where = np.empty_like(perm)
+    where[perm] = np.arange(p)
+    for k, j in enumerate(where.tolist()):
+        row = np.concatenate((rows[k, :k], diagonal[k:k + 1], rows[k + 1:, k]))
+        rows[j, j:] = row[perm[j:]]
     for a in range(0, p, RESTORE):
         b = min(a + RESTORE, p)
-        rows[:a, a:b] = rows[a:b, :a].T
-        # The strip's diagonal block is its own source: a column at a time.
+        rows[a:b, :a] = rows[:a, a:b].T
+        # The strip's diagonal block is its own source: a row at a time.
         for i in range(a + 1, b):
-            rows[a:i, i] = rows[i, a:i]
-    np.fill_diagonal(rows, diagonal)
-
-
-def _permute(rows, perm):
-    """rows[np.ix_(perm, perm)], in place: the rows by cycles, with one row
-    saved per cycle, and then the columns of a block of rows at a time."""
-    p = rows.shape[0]
-    order, done = perm.tolist(), bytearray(p)
-    for start in range(p):
-        if done[start] or order[start] == start:
-            continue
-        saved, i = rows[start].copy(), start
-        while order[i] != start:
-            rows[i] = rows[order[i]]
-            done[i] = 1
-            i = order[i]
-        rows[i] = saved
-        done[i] = 1
-    step = max(1, PERMUTE // p)
-    for a in range(0, p, step):
-        rows[a:a + step] = rows[a:a + step, perm]
+            rows[i, a:i] = rows[a:i, i]
 
 
 def _cholesky_qr(gram_system: GramSystem, diagonal, perm):
@@ -92,8 +78,7 @@ def _cholesky_qr(gram_system: GramSystem, diagonal, perm):
         rows = np.diag(gram[perm])
     else:
         rows = gram.T if gram.flags.f_contiguous else gram
-        _restore(rows, diagonal)
-        _permute(rows, perm)
+        _permute_in_place(rows, diagonal, perm)
     # P'GP is symmetric, so its transpose is the same matrix in the Fortran
     # order LAPACK factorizes in place.
     r, info = lapack.dpotrf(rows.T, lower=0, overwrite_a=1)

@@ -56,6 +56,8 @@ SWEEP = "tests/test_harness.py::TestConsistencySweep"
 SIZES = "tests/test_datagen.py::TestIntegerSizesAndSeeds::test_non_integer_rejected"
 NEGATIVE = "tests/test_datagen.py::TestIntegerSizesAndSeeds::test_negative_"
 IN_PLACE_QR = "tests/test_qr.py::TestInPlaceCholeskyQr"
+NON_FINITE_ROW = ("tests/test_cli.py::TestExperiment::"
+                  "test_non_finite_external_estimate_is_a_row_status")
 
 MUTANTS = (
     Mutant("frozen coupling dropped", "src/gaga/linalg.py",
@@ -297,7 +299,9 @@ MUTANTS = (
            'integral(p, "p") < 0 or integral(n, "n") < p', 'integral(n, "n") < integral(p, "p")',
            (NEGATIVE + "size_rejected[orthogonal-p]", NEGATIVE + "size_rejected[orthogonal-n]")),
     Mutant("QR gram permuted by a copy", "src/gaga/qr.py",
-           "        _permute(rows, perm)", "        rows = rows[np.ix_(perm, perm)]",
+           "        _permute_in_place(rows, diagonal, perm)",
+           "        _permute_in_place(rows, diagonal, np.arange(perm.size))\n"
+           "        rows = rows[np.ix_(perm, perm)]",
            ("tests/test_counts.py::test_qr_fit_peak_memory",
             IN_PLACE_QR + "::test_fit_factorizes_the_gram_in_place")),
     Mutant("least-squares factor clears G's other triangle", "src/gaga/linalg.py",
@@ -305,12 +309,26 @@ MUTANTS = (
            (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",
             IN_PLACE_QR + "::test_fit_factorizes_the_gram_in_place")),
     Mutant("QR gram diagonal not restored", "src/gaga/qr.py",
-           "    np.fill_diagonal(rows, diagonal)\n", "",
+           "diagonal[k:k + 1]", "rows[k, k:k + 1]",
            (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",
             IN_PLACE_QR + "::test_fit_factorizes_the_gram_in_place")),
     Mutant("last partial strip of the QR gram not restored", "src/gaga/qr.py",
            "for a in range(0, p, RESTORE):", "for a in range(0, p - p % RESTORE, RESTORE):",
            (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",)),
+    Mutant("infinite estimation error scored", "src/gaga/harness.py",
+           "if not math.isfinite(report.err):", "if math.isnan(report.err):",
+           (NON_FINITE_ROW + "[inf]", NON_FINITE_ROW + "[1e308]")),
+    Mutant("NaN snap accepted", "src/gaga/harness.py",
+           "if not snap >= 0:", "if snap < 0:",
+           ("tests/test_harness.py::TestExternalEstimates::test_bad_snap_rejected[nan]",)),
+    Mutant("malformed snap raises a bare ValueError", "src/gaga/harness.py",
+           "                    snap = math.nan\n", "                    raise\n",
+           ("tests/test_harness.py::TestExternalEstimates::test_bad_snap_rejected[abc]",)),
+    Mutant("overflowing distance warns", "src/gaga/metrics.py",
+           '    with np.errstate(over="ignore"):\n        return float(',
+           "    return float(",
+           ("tests/test_metrics.py::TestErr::test_overflow_is_inf_without_a_warning",
+            NON_FINITE_ROW + "[1e308]")),
 )
 
 

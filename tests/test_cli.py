@@ -278,6 +278,25 @@ class TestExperiment:
         assert "replicate 0 is repeated" in single_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+    def test_non_finite_external_estimate_is_a_row_status(self, tmp_path, capsys, value):
+        # Replicate 0's error is not finite (1e308 overflows the distance);
+        # replicate 1 is scored, and only it enters the summary rows.
+        path = tmp_path / "ext.csv"
+        path.write_text(f"0,{value}" + ",0.5" * 7 + "\n1" + ",0.5" * 8 + "\n")
+        cfg, out = tmp_path / "exp.cfg", tmp_path / "exp.csv"
+        cfg.write_text(f"replicates = 2\nestimators = external:{path}\nout = {out}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr
+            assert main(["experiment", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            rows = {r["replicate"]: r for r in csv.DictReader(fh)}
+        assert rows["0"]["status"] == "InvalidInput" and rows["0"]["err"] == ""
+        assert rows["1"]["status"] == "ok"
+        assert float(rows["mean"]["err"]) == float(rows["1"]["err"])
+        assert float(rows["std"]["err"]) == 0.0
+
     @pytest.mark.parametrize("line", ["record_timing = maybe", "iterations = 2.5",
                                       "alpha = abc"])
     def test_malformed_config_value_fails(self, tmp_path, capsys, line):

@@ -131,9 +131,12 @@ def assert_config_run(data, command):
             "replicate," + ",".join(f"b{j}" for j in range(1, 9)) + "\n"
             + "".join(f"{r}," + ",".join(["0.5"] * 8) + "\n" for r in range(2)))
         (tmp / "bad.csv").write_text("replicate,b1\n0,abc\n")
+        # Replicates whose error is not finite are rows of status InvalidInput.
+        (tmp / "inf.csv").write_text("0,nan" + ",0.5" * 7 + "\n1,1e308" + ",0.5" * 7 + "\n")
         model = d.value("model", ["model1", "consistency"], ["orthogonal", "bogus", ""])
         cfg = {"model": model, "estimators": d.value(
-            "estimators", ["gaga", "gaga_qr", "gaga,gaga_qr", f"external:{tmp / 'ext.csv'}"],
+            "estimators", ["gaga", "gaga_qr", "gaga,gaga_qr", f"external:{tmp / 'ext.csv'}",
+                           f"external:{tmp / 'inf.csv'}"],
             ["bogus", "", f"external:{tmp / 'bad.csv'}", f"external:{tmp / 'absent.csv'}"])}
         if command == "sweep":  # the sample sizes set n, so any n line is a fault
             if "n" in d.faults:

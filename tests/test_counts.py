@@ -146,10 +146,11 @@ def test_highdim_design_peak_memory():
 
 
 def test_qr_fit_peak_memory():
-    # About 1.147 p x p at 1000 x 500: the gram, which the fit factorizes,
-    # restores, permutes and factorizes again in its own buffer, and one
-    # block of 2^15 floats for the column permutation. A copy of the gram
-    # for the least-squares solve and a permuted copy for R read 2.139.
+    # About 1.141 p x p at 1000 x 500: the gram, which the fit factorizes,
+    # permutes and factorizes again in its own buffer; a p x p boolean
+    # (0.125), made by the finiteness test of the gram in ``build_gram`` and
+    # again of R in ``solve_triangular``; and 0.016 of vectors. A copy of the
+    # gram for the least-squares solve and a permuted copy for R read 2.139.
     problem = _problem(n=1000, p=500)
     assert _peak_per_gram(problem, gaga.qr.gaga_qr_fit) <= 1.2
 

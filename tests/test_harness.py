@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,14 @@ class TestExternalEstimates:
         path = tmp_path / "ext.csv"
         path.write_text(f"{line}\nreplicate,b1,b2\n0,0.005,2.0\n")
         assert np.array_equal(ExternalEstimates(path).coefficients(None, 0), [0.0, 2.0])
+
+    @pytest.mark.parametrize("value", ["nan", "-0.01", "-inf", "abc", ""])
+    def test_bad_snap_rejected(self, tmp_path, value):
+        path = tmp_path / "ext.csv"
+        path.write_text(f"# snap = {value}\nreplicate,b1,b2\n0,0.005,2.0\n")
+        with pytest.raises(InvalidInput, match=re.escape(f"{path}: snap must be a number >= 0, "
+                                                         f"got '{value}'")):
+            ExternalEstimates(path)
 
     def test_missing_replicate(self, tmp_path):
         path = tmp_path / "ext.csv"

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,12 @@ class TestErr:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             err([1.0], [1.0, 2.0])
+
+    def test_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert err([1e308, 0.0], [0.0, 1.0]) == math.inf
+            assert err([1.7e308], [-1.7e308]) == math.inf
 
     def test_symmetry_and_triangle(self):
         rng = np.random.default_rng(0)

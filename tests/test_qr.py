@@ -250,7 +250,8 @@ class TestCholeskyQr:
 
 
 class TestInPlaceCholeskyQr:
-    """The fit factorizes, restores and permutes its one p×p gram in place."""
+    """The fit factorizes its one p×p gram, gathers P'GP into it and
+    factorizes that, all in place."""
 
     @pytest.fixture
     def factored(self, monkeypatch):
