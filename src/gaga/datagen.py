@@ -11,9 +11,9 @@ the others. Per-replicate seeds come from
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .errors import InvalidCorrelation, InvalidInput, InvalidSize
+from .linalg import blas, lapack
 from .types import RegressionProblem, integral
 
 MODEL1 = "model1"

@@ -19,10 +19,9 @@ factorizes P'GP into R in the same buffer.
 import dataclasses
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
 
 from .errors import InvalidInput, RankDeficient, SingularSystem
-from .linalg import build_gram, check_factorization, check_rank, spd_solve_in_place
+from .linalg import build_gram, check_factorization, check_rank, lapack, spd_solve_in_place
 from .solver import fit_gram
 from .types import GagaConfig, GramSystem, RegressionProblem, SignalEstimate
 
@@ -90,6 +89,20 @@ def _cholesky_qr(gram_system: GramSystem, diagonal, perm):
     return r, lapack.dtrtrs(r, gram_system.cross[perm], lower=0, trans=1)[0]
 
 
+def solve_triangular(r, b):
+    """R^-1 b for an upper triangular R: the one ``dtrtrs`` call that
+    ``scipy.linalg.solve_triangular`` makes for the fit's Fortran-order R,
+    with its checks. A non-finite entry of R or b raises ``ValueError``, and a
+    zero pivot ``np.linalg.LinAlgError``."""
+    # NaN and +-inf carry through min and max, which need no p×p temporary.
+    if not all(np.isfinite(a.min()) and np.isfinite(a.max()) for a in (r, b)):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = lapack.dtrtrs(r, b, lower=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
+
+
 def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = GagaConfig()) -> SignalEstimate:
     """Fit in the rotated basis and map the estimate back.
 
@@ -106,7 +119,7 @@ def gaga_qr_fit(problem: RegressionProblem, config: GagaConfig = GagaConfig()) -
     r_factor, qty = _cholesky_qr(gs, diagonal, perm)
     inner = GramSystem(gram=np.ones(problem.p), cross=qty, response_sq_norm=gs.response_sq_norm)
     theta = fit_gram(inner, problem.n, config)
-    beta_new = solve_triangular(r_factor, theta.coefficients, lower=False)
+    beta_new = solve_triangular(r_factor, theta.coefficients)
     snap = 1e-12 * np.max(np.abs(beta_new), initial=0.0)
     beta_new[np.abs(beta_new) <= snap] = 0.0
     # The inverse permutation, by scatter: np.argsort costs ≈0.25 MB of peak RSS.

@@ -58,6 +58,9 @@ NEGATIVE = "tests/test_datagen.py::TestIntegerSizesAndSeeds::test_negative_"
 IN_PLACE_QR = "tests/test_qr.py::TestInPlaceCholeskyQr"
 NON_FINITE_ROW = ("tests/test_cli.py::TestExperiment::"
                   "test_non_finite_external_estimate_is_a_row_status")
+SCIPY_MODULES = "tests/test_linalg.py::TestCompiledScipyModules"
+LOADER = 'blas, lapack = _load_extension("_fblas"), _load_extension("_flapack")'
+MIN_MAX = "np.isfinite(a.min()) and np.isfinite(a.max())"
 
 MUTANTS = (
     Mutant("frozen coupling dropped", "src/gaga/linalg.py",
@@ -217,11 +220,30 @@ MUTANTS = (
     Mutant("endpoint draw kept", "src/gaga/datagen.py",
            "while np.any(v == low):", "while False:", ("tests/test_datagen.py::TestOpenUniform",)),
     Mutant("design checked for non-finite entries through a temporary", "src/gaga/types.py",
-           "np.isfinite(a.min()) and np.isfinite(a.max())", "np.isfinite(a).all()",
+           MIN_MAX, "np.isfinite(a).all()",
            ("tests/test_counts.py::test_highdim_design_peak_memory",)),
     Mutant("-inf passes the design check", "src/gaga/types.py",
-           "np.isfinite(a.min()) and np.isfinite(a.max())", "np.isfinite(a.max())",
+           MIN_MAX, "np.isfinite(a.max())",
            (VALIDATION + "::test_non_finite_entry_rejected",)),
+    Mutant("gram checked for non-finite entries through a temporary", "src/gaga/linalg.py",
+           "np.isfinite(gram.min()) and np.isfinite(gram.max())", "np.isfinite(gram).all()",
+           ("tests/test_counts.py::test_qr_fit_peak_memory",)),
+    Mutant("R checked for non-finite entries through a temporary", "src/gaga/qr.py",
+           MIN_MAX, "np.isfinite(a).all()",
+           ("tests/test_counts.py::test_qr_fit_peak_memory",)),
+    Mutant("-inf passes the back-map's check", "src/gaga/qr.py",
+           MIN_MAX, "np.isfinite(a.max())",
+           ("tests/test_qr.py::TestBackMap::test_non_finite_entry_rejected[r--inf]",
+            "tests/test_qr.py::TestBackMap::test_non_finite_entry_rejected[b--inf]")),
+    Mutant("back-map ignores a zero pivot", "src/gaga/qr.py",
+           "if info > 0:", "if False:",
+           ("tests/test_qr.py::TestBackMap::test_zero_pivot_is_singular",)),
+    Mutant("LAPACK loaded through the scipy.linalg package", "src/gaga/linalg.py",
+           LOADER, "from scipy.linalg import blas, lapack",
+           (SCIPY_MODULES + "::test_fits_never_import_scipy_linalg",)),
+    Mutant("extension loaded twice", "src/gaga/linalg.py",
+           "    if full in sys.modules:\n        return sys.modules[full]\n", "",
+           (SCIPY_MODULES + "::test_a_loaded_module_is_returned_as_it_is",)),
     Mutant("variance floor not applied", "src/gaga/solver.py",
            "if var < floor:", "if False:",
            ("tests/test_solver.py::TestGagaFit::test_noiseless_response_floors_the_variance",)),

@@ -1,7 +1,13 @@
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import blas, lapack
 
 from gaga import (
@@ -14,7 +20,9 @@ from gaga import (
     build_gram,
     gaga_fit,
 )
+import gaga.datagen
 import gaga.linalg
+import gaga.qr
 from gaga.datagen import gen_model1
 from gaga.linalg import (
     BLOCK,
@@ -530,3 +538,57 @@ def test_inverse_diagonal_matches_solver():
     b = rng.uniform(0, 1, 7)
     d = inverse_diagonal(g, b)
     assert np.allclose(d, np.diagonal(np.linalg.inv(g + np.diag(b))), rtol=1e-10)
+
+
+class TestCompiledScipyModules:
+    """The package loads scipy's compiled LAPACK and BLAS modules without
+    running the ``scipy.linalg`` package, and shares them with it."""
+
+    @staticmethod
+    def run(code):
+        """stdout of ``code`` in a fresh interpreter on the package in ``src/``."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.split()
+
+    def test_fits_never_import_scipy_linalg(self):
+        assert self.run(
+            "import sys, gaga, gaga.cli\n"
+            "from gaga.datagen import gen_highdim\n"
+            "problem = gen_highdim(0, 60, 20).problem\n"
+            "gaga.gaga_fit(problem); gaga.gaga_qr_fit(problem)\n"
+            "print('scipy.linalg' in sys.modules)") == ["False"]
+
+    def test_modules_already_loaded_by_scipy_linalg_are_reused(self):
+        assert self.run(
+            "import sys, scipy.linalg\n"
+            "blas, lapack = (sys.modules[f'scipy.linalg.{m}'] for m in ('_fblas', '_flapack'))\n"
+            "import gaga.datagen, gaga.linalg, gaga.qr\n"
+            "print(gaga.linalg.blas is blas, gaga.linalg.lapack is lapack,\n"
+            "      gaga.datagen.blas is blas, gaga.qr.lapack is lapack)") == ["True"] * 4
+
+    def test_one_copy_of_each_routine(self):
+        for routine in ("dpotrf", "dpotrs", "dtrtri", "dtrtrs"):
+            assert getattr(gaga.linalg.lapack, routine) is getattr(scipy.linalg.lapack, routine)
+        for routine in ("dgemv", "dtrmm", "dsyrk"):
+            assert getattr(gaga.linalg.blas, routine) is getattr(scipy.linalg.blas, routine)
+        assert gaga.datagen.blas is gaga.linalg.blas
+        assert gaga.datagen.lapack is gaga.qr.lapack is gaga.linalg.lapack
+
+    def test_a_loaded_module_is_returned_as_it_is(self, monkeypatch):
+        # Loading the file again would hand back the same module object, with
+        # its attributes reset from the copy CPython keeps of them.
+        marker = object()
+        monkeypatch.setattr(gaga.linalg.lapack, "dpotrf", marker)
+        assert gaga.linalg._load_extension("_flapack") is gaga.linalg.lapack
+        assert gaga.linalg.lapack.dpotrf is marker
+        assert gaga.linalg._load_extension("_fblas") is gaga.linalg.blas
+
+    def test_missing_module_names_its_file(self):
+        path = Path(scipy.__file__).parent / "linalg" / "_no_such_module"
+        with pytest.raises(ImportError, match=re.escape(str(path))):
+            gaga.linalg._load_extension("_no_such_module")

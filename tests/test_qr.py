@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+import scipy.linalg
 
 import gaga.linalg
 import oracle
@@ -16,7 +16,7 @@ from gaga import (
 from gaga.datagen import correlated_gaussian_rows, gen_model2
 from gaga.metrics import acc
 from gaga.linalg import build_gram, spd_solve_in_place
-from gaga.qr import _cholesky_qr, _ols_permutation
+from gaga.qr import _cholesky_qr, _ols_permutation, solve_triangular
 from gaga.solver import fit_gram
 
 
@@ -133,7 +133,7 @@ class TestGagaQrFit:
             [0.0, 0.0, 0.0, 2.0],
         ])
         theta = np.array([3.0, -1.0, 0.0, 0.0])
-        beta = solve_triangular(r, theta, lower=False)
+        beta = solve_triangular(r, theta)
         assert np.array_equal(beta[2:], [0.0, 0.0])
         assert beta[0] != 0 and beta[1] != 0
 
@@ -247,6 +247,40 @@ class TestCholeskyQr:
         with pytest.raises(RankDeficient) as exc:
             gaga_qr_fit(pr)
         assert exc.value.pivot == 1
+
+
+class TestBackMap:
+    """The back-substitution is scipy's ``solve_triangular`` for the fit's
+    Fortran-order upper R, bit for bit, with its errors."""
+
+    @staticmethod
+    def system(p=257):
+        rng = np.random.default_rng(p)
+        r = np.asfortranarray(np.triu(rng.standard_normal((p, p))))
+        r[np.diag_indices(p)] = rng.uniform(1.0, 2.0, p)
+        return r, rng.standard_normal(p)
+
+    def test_matches_scipy_bit_for_bit(self):
+        r, b = self.system()
+        assert np.array_equal(solve_triangular(r, b),
+                              scipy.linalg.solve_triangular(r, b, lower=False))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["r", "b"])
+    def test_non_finite_entry_rejected(self, value, where):
+        r, b = self.system()
+        if where == "r":
+            r[3, 200] = value
+        else:
+            b[200] = value
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_triangular(r, b)
+
+    def test_zero_pivot_is_singular(self):
+        r, b = self.system()
+        r[100, 100] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 100"):
+            solve_triangular(r, b)
 
 
 class TestInPlaceCholeskyQr:
