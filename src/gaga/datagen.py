@@ -64,13 +64,16 @@ def _open_uniform(rng, low, high, size=None):
 
 def correlated_gaussian_rows(correlation, n: int, rng) -> np.ndarray:
     """n i.i.d. zero-mean Gaussian rows with the given correlation matrix,
-    which is left as it is. An equicorrelation matrix (unit diagonal, every
+    which is left as it is and is read in place: a non-finite entry raises
+    ``InvalidCorrelation``. An equicorrelation matrix (unit diagonal, every
     other entry equal) takes the closed form of ``_equicorrelated_rows``;
     any other is factored by ``_cholesky_rows``."""
     correlation = np.asarray(correlation, dtype=float)
     if correlation.ndim != 2 or correlation.shape[0] != correlation.shape[1]:
         raise InvalidCorrelation(f"correlation matrix must be square, not {correlation.shape}")
-    if not np.isfinite(correlation).all():
+    # NaN and +-inf carry through min and max, which need no p x p temporary.
+    if correlation.size and not (np.isfinite(correlation.min())
+                                 and np.isfinite(correlation.max())):
         raise InvalidCorrelation("correlation matrix has a non-finite entry")
     p = correlation.shape[0]
     if p >= 2 and _is_equicorrelation(correlation):

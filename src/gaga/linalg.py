@@ -70,6 +70,10 @@ BLOCK = 128
 # final coefficients of n <= 150 fits by up to 7e-8, 1e8 by under 1e-9.
 FREEZE_RATIO = 1e8
 
+# A gram's upper triangle is copied onto its lower one in strips of RESTORE
+# columns (``mirror_upper``).
+RESTORE = 256
+
 
 def check_rank(pivot_sq, gram_diag, index):
     """The one rank rule of every Cholesky factor: a squared pivot within 1e-10 of
@@ -91,21 +95,42 @@ def check_factorization(info, index):
 def build_gram(problem: RegressionProblem) -> GramSystem:
     """Precompute X'X, X'y and y'y.
 
-    When the design has a unit stride, numpy hands x.T @ x to BLAS as one
-    symmetric rank-k update, which returns an exactly symmetric gram. Other
-    strides (stepped or reversed columns) would take a general product that
-    is not exactly symmetric, so such a design is copied first. A product
-    that overflows is an input error, not a warning."""
+    X'X is one symmetric rank-k update, scipy's ``dsyrk``, into the lower
+    triangle of a Fortran-order array. The gram is that array's C-order
+    transpose, whose other triangle ``mirror_upper`` fills, so it is exactly
+    symmetric, and X'y is ``matvec``'s ``dgemv``: both are built in the
+    kernel's BLAS. A C- or Fortran-contiguous design is read in place; any
+    other (a block or a stride of columns, reversed columns, a stride of
+    rows) is copied to C order first, since ``dsyrk`` reads only contiguous
+    arrays. A product that overflows is an input error, not a warning."""
     x, y = problem.design, problem.response
-    if x.itemsize not in x.strides or min(x.strides) <= 0:
+    if x.flags.f_contiguous:
+        gram = blas.dsyrk(1.0, x, trans=1, lower=1).T
+    else:
         x = np.ascontiguousarray(x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram, cross, response_sq_norm = x.T @ x, x.T @ y, float(y @ y)
+        gram = blas.dsyrk(1.0, x.T, lower=1).T
+    mirror_upper(gram)
+    cross = matvec(x.T, y)
+    with np.errstate(over="ignore"):
+        response_sq_norm = float(y @ y)
     # NaN and +-inf carry through min and max, which need no p x p temporary.
     if not (np.isfinite(gram.min()) and np.isfinite(gram.max())
             and np.isfinite(cross).all() and np.isfinite(response_sq_norm)):
         raise InvalidInput("X'X, X'y or y'y overflows; rescale the design and response")
     return GramSystem(gram=gram, cross=cross, response_sq_norm=response_sq_norm)
+
+
+def mirror_upper(rows):
+    """Copy the upper triangle of the square C-order ``rows`` onto its lower
+    one, in place, a strip of ``RESTORE`` columns at a time. A strip's source
+    rows all lie above its target rows, so numpy copies it with no temporary."""
+    p = rows.shape[0]
+    for a in range(0, p, RESTORE):
+        b = min(a + RESTORE, p)
+        rows[a:b, :a] = rows[:a, a:b].T
+        # The strip's diagonal block is its own source: a row at a time.
+        for i in range(a + 1, b):
+            rows[i, a:i] = rows[a:i, i]
 
 
 def matvec(mat, vec):
@@ -153,7 +178,8 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs):
     if gram.ndim == 1:
         diag = gram + penalty_diag
         check_rank(diag, gram, range(p))
-        sol, inv_diag = rhs / diag, 1.0 / diag
+        with np.errstate(over="ignore"):  # an overflow raises in _require_finite
+            sol, inv_diag = rhs / diag, 1.0 / diag
     else:
         gram_diag = np.diagonal(gram)
         # A coordinate with no positive diagonal stays in the factorization,

@@ -21,13 +21,10 @@ import dataclasses
 import numpy as np
 
 from .errors import InvalidInput, RankDeficient, SingularSystem
-from .linalg import build_gram, check_factorization, check_rank, lapack, spd_solve_in_place
+from .linalg import (build_gram, check_factorization, check_rank, lapack, mirror_upper,
+                     spd_solve_in_place)
 from .solver import fit_gram
 from .types import GagaConfig, GramSystem, RegressionProblem, SignalEstimate
-
-# The permuted upper triangle is copied onto the lower one in strips of
-# RESTORE columns.
-RESTORE = 256
 
 
 def _ols_permutation(problem: RegressionProblem):
@@ -50,20 +47,15 @@ def _permute_in_place(rows, diagonal, perm):
     """P'GP in the square ``rows``, from G in its strict lower triangle and
     ``diagonal``. Each row of G is gathered, in source order, into the upper
     triangle of its permuted row; the reads all lie in the strict lower
-    triangle, so none is overwritten first. The upper triangle is then
-    copied onto the lower one, a strip of ``RESTORE`` columns at a time."""
+    triangle, so none is overwritten first. ``mirror_upper`` then copies
+    the upper triangle onto the lower one."""
     p = rows.shape[0]
     where = np.empty_like(perm)
     where[perm] = np.arange(p)
     for k, j in enumerate(where.tolist()):
         row = np.concatenate((rows[k, :k], diagonal[k:k + 1], rows[k + 1:, k]))
         rows[j, j:] = row[perm[j:]]
-    for a in range(0, p, RESTORE):
-        b = min(a + RESTORE, p)
-        rows[a:b, :a] = rows[:a, a:b].T
-        # The strip's diagonal block is its own source: a row at a time.
-        for i in range(a + 1, b):
-            rows[i, a:i] = rows[a:i, i]
+    mirror_upper(rows)
 
 
 def _cholesky_qr(gram_system: GramSystem, diagonal, perm):

@@ -61,6 +61,8 @@ NON_FINITE_ROW = ("tests/test_cli.py::TestExperiment::"
 SCIPY_MODULES = "tests/test_linalg.py::TestCompiledScipyModules"
 LOADER = 'blas, lapack = _load_extension("_fblas"), _load_extension("_flapack")'
 MIN_MAX = "np.isfinite(a.min()) and np.isfinite(a.max())"
+SYMMETRIC_GRAM = "tests/test_linalg.py::TestBuildGram::test_gram_exactly_symmetric"
+SCIPY_GRAM = "tests/test_linalg.py::TestBuildGram::test_gram_and_cross_take_scipy_blas"
 
 MUTANTS = (
     Mutant("frozen coupling dropped", "src/gaga/linalg.py",
@@ -155,8 +157,13 @@ MUTANTS = (
            "below = rho * (1 - rho) / m[:-1] / diag", "below = rho * (1 - rho) / m[1:] / diag",
            ("tests/test_datagen.py::TestCorrelatedRows::test_matches_textbook_product",)),
     Mutant("non-finite correlation accepted", "src/gaga/datagen.py",
-           "if not np.isfinite(correlation).all():", "if False:",
+           "if correlation.size and not", "if False and not",
            ("tests/test_datagen.py::TestCorrelatedRows::test_non_finite_rejected",)),
+    Mutant("caller's correlation checked through a p×p boolean", "src/gaga/datagen.py",
+           "correlation.size and not (np.isfinite(correlation.min())\n"
+           "                                 and np.isfinite(correlation.max()))",
+           "not np.isfinite(correlation).all()",
+           ("tests/test_counts.py::test_correlation_check_makes_no_p_by_p_temporary",)),
     Mutant("failed factorization accepted", "src/gaga/datagen.py",
            "if info != 0 or not", "if not",
            ("tests/test_datagen.py::TestCorrelatedRows::test_non_pd_general_matrix_rejected",)),
@@ -167,6 +174,11 @@ MUTANTS = (
     Mutant("kernel shape check dropped", "src/gaga/linalg.py",
            "if penalty_diag.shape != (p,) or rhs.shape != (p,):", "if False:",
            ("tests/test_linalg.py::TestSpdSolve::test_shape_mismatch_rejected",)),
+    Mutant("closed form warns on overflow", "src/gaga/linalg.py",
+           '        with np.errstate(over="ignore"):  # an overflow raises in _require_finite\n'
+           "            sol, inv_diag = rhs / diag, 1.0 / diag\n",
+           "        sol, inv_diag = rhs / diag, 1.0 / diag\n",
+           ("tests/test_linalg.py::test_overflowing_closed_form_raises_without_a_warning",)),
     Mutant("NaN penalty accepted", "src/gaga/linalg.py",
            "if not (penalty_diag >= 0).all():", "if np.any(penalty_diag < 0):",
            (NON_FINITE + "::test_nan_penalty",)),
@@ -228,6 +240,20 @@ MUTANTS = (
     Mutant("gram checked for non-finite entries through a temporary", "src/gaga/linalg.py",
            "np.isfinite(gram.min()) and np.isfinite(gram.max())", "np.isfinite(gram).all()",
            ("tests/test_counts.py::test_qr_fit_peak_memory",)),
+    Mutant("gram built by numpy", "src/gaga/linalg.py",
+           "gram = blas.dsyrk(1.0, x.T, lower=1).T", "gram = x.T @ x",
+           (SCIPY_GRAM + "[C]",)),
+    Mutant("X'y by numpy", "src/gaga/linalg.py",
+           "cross = matvec(x.T, y)", "cross = x.T @ y",
+           (SCIPY_GRAM + "[C]", SCIPY_GRAM + "[F]")),
+    Mutant("gram from the upper triangle", "src/gaga/linalg.py",
+           "blas.dsyrk(1.0, x.T, lower=1).T",
+           "np.ascontiguousarray(blas.dsyrk(1.0, x.T, lower=0))",
+           (SCIPY_GRAM + "[C]",)),
+    Mutant("F-order design copied before the gram", "src/gaga/linalg.py",
+           "    if x.flags.f_contiguous:\n        gram = blas.dsyrk",
+           "    if False:\n        gram = blas.dsyrk",
+           ("tests/test_counts.py::test_gram_peak_memory[F]",)),
     Mutant("R checked for non-finite entries through a temporary", "src/gaga/qr.py",
            MIN_MAX, "np.isfinite(a).all()",
            ("tests/test_counts.py::test_qr_fit_peak_memory",)),
@@ -334,9 +360,10 @@ MUTANTS = (
            "diagonal[k:k + 1]", "rows[k, k:k + 1]",
            (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",
             IN_PLACE_QR + "::test_fit_factorizes_the_gram_in_place")),
-    Mutant("last partial strip of the QR gram not restored", "src/gaga/qr.py",
+    Mutant("last partial strip of a gram not mirrored", "src/gaga/linalg.py",
            "for a in range(0, p, RESTORE):", "for a in range(0, p - p % RESTORE, RESTORE):",
-           (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",)),
+           (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",
+            SYMMETRIC_GRAM + "[C]")),
     Mutant("infinite estimation error scored", "src/gaga/harness.py",
            "if not math.isfinite(report.err):", "if math.isnan(report.err):",
            (NON_FINITE_ROW + "[inf]", NON_FINITE_ROW + "[1e308]")),

@@ -145,6 +145,29 @@ def test_highdim_design_peak_memory():
     assert peak <= 1.1 * 8 * n * p
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_gram_peak_memory(order):
+    # About 1.006 p x p at 4000 x 300: the gram, which dsyrk writes into a
+    # new array, and X'y. Both read the design in place; a copy of it would
+    # read 14.3.
+    n, p = 4000, 300
+    x = np.array(stream_rng(0, "design").standard_normal((n, p)), order=order)
+    problem = RegressionProblem(design=x, response=np.ones(n))
+    peak = _design_peak(lambda: gaga.linalg.build_gram(problem))
+    assert peak <= 1.05 * 8 * p * p
+
+
+def test_correlation_check_makes_no_p_by_p_temporary():
+    # About 0.002 of the matrix at p = 2000 with no rows drawn: the caller's
+    # matrix is checked for a non-finite entry through min and max, and read
+    # in place as an equicorrelation. A p x p boolean read 0.125.
+    p = 2000
+    corr = np.full((p, p), 0.5)
+    np.fill_diagonal(corr, 1.0)
+    peak = _design_peak(lambda: correlated_gaussian_rows(corr, 0, stream_rng(0, "design")))
+    assert peak <= 0.01 * 8 * p * p
+
+
 def test_qr_fit_peak_memory():
     # About 1.031 p x p at 1000 x 500: the gram, which the fit factorizes,
     # permutes and factorizes again in its own buffer, and vectors. The gram

@@ -64,16 +64,46 @@ class TestBuildGram:
     @pytest.mark.parametrize("layout", ["C", "F", "column_block", "column_step",
                                         "row_stride", "reversed"])
     def test_gram_exactly_symmetric(self, layout):
-        # build_gram does not symmetrize. Stepped and reversed columns give an
-        # asymmetric x.T @ x from p ~ 130 unless build_gram copies them first.
+        # One triangle of X'X comes from dsyrk and is copied onto the other,
+        # a strip of RESTORE columns at a time, so p = 333 has a partial
+        # strip. The gram and X'y match numpy's products of the C-order
+        # design to rounding; whether they match bit for bit depends on the
+        # two libraries' OpenBLAS builds, so tools/equiv.py checks that of
+        # the fits, at one thread.
         rng = np.random.default_rng(7)
-        for n, p in [(3, 2), (7, 5), (40, 17), (300, 64), (129, 130), (600, 333)]:
+        for n, p in [(3, 2), (50, 1), (7, 5), (40, 17), (300, 64), (129, 130), (600, 333)]:
             base = rng.standard_normal((2 * n, 2 * p))
             x = {"C": base[:n, :p].copy(), "F": np.asfortranarray(base[:n, :p]),
                  "column_block": base[:n, 1:p + 1], "column_step": base[:n, 1::2],
                  "row_stride": base[::2, :p], "reversed": base[:n, p - 1::-1]}[layout]
-            g = build_gram(RegressionProblem(design=x, response=np.zeros(n))).gram
+            y = rng.standard_normal(n)
+            gs = build_gram(RegressionProblem(design=x, response=y))
+            g = np.diag(gs.gram) if gs.gram.ndim == 1 else gs.gram
             assert np.array_equal(g, g.T)
+            xc = np.ascontiguousarray(x)
+            for got, want in [(g, xc.T @ xc), (gs.cross, xc.T @ y)]:
+                assert np.abs(got - want).max() <= 1e-14 * n * np.abs(want).max()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gram_and_cross_take_scipy_blas(self, order, monkeypatch):
+        # The kernel's products all run in scipy's BLAS, so the gram's one
+        # symmetric rank-k update and X'y must too: numpy loads a second
+        # OpenBLAS, with its own buffers and threads. The update fills the
+        # lower triangle (of the Fortran-order result), the one that sums
+        # as numpy's x.T @ x does; the upper one differs in the last bits.
+        calls = []
+
+        class CountingBlas:
+            def __getattr__(self, name):
+                def call(*args, **kwargs):
+                    calls.append((name, kwargs.get("lower")))
+                    return getattr(blas, name)(*args, **kwargs)
+                return call
+
+        monkeypatch.setattr(gaga.linalg, "blas", CountingBlas())
+        x = np.array(np.random.default_rng(3).standard_normal((40, 17)), order=order)
+        build_gram(RegressionProblem(design=x, response=np.ones(40)))
+        assert calls == [("dsyrk", 1), ("dgemv", None)]
 
     def test_diagonal_gram_stored_as_vector(self):
         v = np.array([2.0, 0.5, 3.0])
@@ -421,6 +451,15 @@ class TestFreezing:
             sol, d = spd_solve_with_inverse_diagonal(g, b, np.ones(4))
         assert factorized == [4]
         assert np.all(np.isfinite(sol)) and np.all(d > 0)
+
+
+def test_overflowing_closed_form_raises_without_a_warning():
+    # 1 / 1e-310 overflows; the output check reports it, and numpy must not
+    # warn first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match="non-finite"):
+            spd_solve_with_inverse_diagonal(np.array([1e-310]), np.zeros(1), np.ones(1))
 
 
 class TestInverseFactorRecursion:
