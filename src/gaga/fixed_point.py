@@ -22,12 +22,16 @@ UNDECIDED = "undecided"
 _ESCAPE_FACTOR = 1e3
 
 
+def _check_alpha(alpha):
+    if not 1 < alpha < math.inf:
+        raise InvalidAlpha(f"alpha must be finite and > 1, got {alpha}")
+
+
 def convergence_threshold(alpha: float, sigma: float) -> float:
     """Smallest z for which the recursion converges: ((2a-1)+2*sqrt(a(a-1)))*sigma."""
-    if not alpha > 1:
-        raise InvalidAlpha(f"alpha must be > 1, got {alpha}")
-    if not sigma > 0:
-        raise InvalidInput(f"sigma must be positive, got {sigma}")
+    _check_alpha(alpha)
+    if not 0 < sigma < math.inf:
+        raise InvalidInput(f"sigma must be positive and finite, got {sigma}")
     return ((2 * alpha - 1) + 2 * math.sqrt(alpha * (alpha - 1))) * sigma
 
 
@@ -42,8 +46,8 @@ class ScalarRegime:
 
     @staticmethod
     def from_params(z: float, sigma: float, alpha: float) -> "ScalarRegime":
-        if z < 0:
-            raise InvalidInput("z must be nonnegative")
+        if not 0 <= z < math.inf:
+            raise InvalidInput(f"z must be nonnegative and finite, got {z}")
         return ScalarRegime(z, sigma, alpha, convergence_threshold(alpha, sigma))
 
 
@@ -54,15 +58,20 @@ def map_value(x: float, regime: ScalarRegime) -> float:
 
 
 def closed_form_fixed_point(regime: ScalarRegime) -> Optional[float]:
-    """The stable root of f(b)=b, or None when the recursion diverges."""
+    """The stable root of f(b)=b, or None when the recursion diverges.
+
+    The root is (a - sqrt(disc)) / (2(alpha-1)) with a = z - (2alpha-1)sigma
+    and disc = a^2 - 4alpha(alpha-1)sigma^2. That difference cancels as z
+    grows, so it is taken as 2 alpha sigma^2 / (a + sqrt(disc)), with
+    sqrt(disc) = a sqrt(1 - 4alpha(alpha-1)(sigma/a)^2): nothing cancels,
+    and neither a^2 nor a + sqrt(disc) can overflow."""
     if regime.z < regime.threshold:
         return None
     z, sigma, alpha = regime.z, regime.sigma, regime.alpha
     a = z - (2 * alpha - 1) * sigma
-    disc = a * a - 4 * alpha * (alpha - 1) * sigma * sigma
     # Clip tiny negative discriminants at the boundary z == threshold.
-    disc = max(disc, 0.0)
-    return (a - math.sqrt(disc)) / (2 * (alpha - 1))
+    root = math.sqrt(max(1.0 - 4 * alpha * (alpha - 1) * (sigma / a) ** 2, 0.0))
+    return 2 * alpha * (sigma / a) * sigma / (1.0 + root)
 
 
 def classify_trajectory(regime: ScalarRegime, max_iter: int):
@@ -91,8 +100,14 @@ def classify_trajectory(regime: ScalarRegime, max_iter: int):
 def asymptotic_tuning_limit(beta_star: float, alpha: float) -> float:
     """Large-sample limit of the raw tuning weight for a nonzero coefficient:
     alpha / beta_star^2 (so b/alpha tends to 1/beta_star^2)."""
-    if not alpha > 1:
-        raise InvalidAlpha(f"alpha must be > 1, got {alpha}")
+    _check_alpha(alpha)
+    if not math.isfinite(beta_star):
+        raise InvalidInput(f"beta_star must be finite, got {beta_star}")
     if beta_star == 0:
         raise InvalidInput("tuning limit diverges for a zero coefficient")
-    return alpha / (beta_star * beta_star)
+    square = beta_star * beta_star
+    limit = alpha / square if square else math.inf
+    if limit == math.inf:
+        raise InvalidInput(f"beta_star^2 underflows, so alpha / beta_star^2 overflows, "
+                           f"at beta_star = {beta_star}")
+    return limit

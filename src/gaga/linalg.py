@@ -3,16 +3,17 @@ diagonal of the inverse, and the QR variant's least-squares solve, which
 factorizes its gram in place.
 
 Only the active block of a system is factorized: a coordinate whose penalty
-dwarfs its own gram diagonal is frozen and solved by its diagonal. The block
-is gathered once from the gram into the Fortran-order buffers that LAPACK
-and BLAS overwrite. Its inverse diagonal comes from the inverse Cholesky
-factor W = L^-1 (diag(A^-1)_j = sum_k W_kj^2, since A^-1 = W'W), never from
-the full inverse: up to ``BLOCK`` coordinates LAPACK inverts the factor of
-the one buffer in place, and a larger block, gathered as three quadrants,
-builds W by 2x2 block recursion with BLAS-3 products and never forms L (see
-``_inverse_factor_blocks``). A diagonal system is passed as the length-p
-vector of its diagonal, as ``GramSystem`` stores one; it takes the closed
-form and never factorizes.
+dwarfs its own gram diagonal is frozen and solved by its diagonal. Its
+inverse diagonal comes from the inverse Cholesky factor W = L^-1
+(diag(A^-1)_j = sum_k W_kj^2, since A^-1 = W'W), never from the full
+inverse. Up to ``BLOCK`` coordinates the block is gathered once from the
+gram into a Fortran-order buffer, whose factor LAPACK inverts in place. A
+larger block is written over one triangle of the caller's gram, which keeps
+G in the other, and W is built there by 2x2 block recursion with BLAS-3
+products, never forming L; the gram is put back as it came (see
+``_solve_in_gram``). A diagonal system is passed as the length-p vector of
+its diagonal, as ``GramSystem`` stores one; it takes the closed form and
+never factorizes.
 
 LAPACK and BLAS are scipy's compiled f2py modules, ``scipy.linalg._flapack``
 and ``_fblas``, the ones ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
@@ -21,9 +22,13 @@ re-export. They are loaded from their files without running the
 ≈16.5 MB of resident memory per process. Each is registered under its own name
 in ``sys.modules``, so a process that also imports ``scipy.linalg`` holds one
 copy, with the same function objects. ``gaga.datagen`` and ``gaga.qr`` take
-them from here.
+them from here. The recursion calls the compiled ``dtrmm``, ``dsyrk`` and
+``dtrmv`` behind the f2py wrappers through ``ctypes``, at the addresses their
+``_cpointer`` capsules hold, since a wrapper takes only whole contiguous
+arrays and the recursion works on blocks of the gram.
 """
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import sys
@@ -58,10 +63,48 @@ def _load_extension(name):
 
 blas, lapack = _load_extension("_fblas"), _load_extension("_flapack")
 
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+_CHAR, _ARRAY = ctypes.c_char_p, ctypes.c_void_p
+_INT, _REAL = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+
+
+def _by_pointer(routine, *argtypes):
+    """The compiled BLAS routine behind the f2py wrapper ``routine``, called
+    with Fortran's arguments, all by reference: unlike the wrapper, it works
+    on a block of a larger array through its leading dimension."""
+    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(routine._cpointer, None))
+
+
+# In Fortran's order: dtrmm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb),
+# dsyrk(uplo, trans, n, k, alpha, a, lda, beta, c, ldc) and
+# dtrmv(uplo, trans, diag, n, a, lda, x, incx).
+_dtrmm = _by_pointer(blas.dtrmm, _CHAR, _CHAR, _CHAR, _CHAR, _INT, _INT, _REAL,
+                     _ARRAY, _INT, _ARRAY, _INT)
+_dsyrk = _by_pointer(blas.dsyrk, _CHAR, _CHAR, _INT, _INT, _REAL, _ARRAY, _INT, _REAL,
+                     _ARRAY, _INT)
+_dtrmv = _by_pointer(blas.dtrmv, _CHAR, _CHAR, _CHAR, _INT, _ARRAY, _INT, _ARRAY, _INT)
+
+
+def _int(value):
+    """A Fortran integer argument."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _real(value):
+    """A Fortran double precision argument."""
+    return ctypes.byref(ctypes.c_double(value))
+
+
 # Systems above BLOCK coordinates build their inverse factor by 2x2 block
-# recursion (``_inverse_factor``); its leaves, and every smaller system, call
-# LAPACK's Cholesky and triangular inverse directly.
+# recursion in the gram (``_inverse_factor``); its leaves, and every smaller
+# system, call LAPACK's Cholesky and triangular inverse directly.
 BLOCK = 128
+
+# The recursion copies triangles into and out of the gram in strips of STRIP
+# rows; a strip's diagonal square goes through the mask _UPPER.
+STRIP = 64
+_UPPER = np.tri(STRIP, dtype=bool).T
 
 # A penalty above FREEZE_RATIO times its own X'X diagonal has diverged: its
 # coordinate decouples from the system and leaves the factorization. Leaving
@@ -161,10 +204,13 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs):
     1 / (G_jj + b_j). The block's Cholesky factor L and its two triangular
     solves (``dpotrs``) give s_A, and the block's inverse diagonal comes from
     W = L^-1, which LAPACK inverts in place. Above ``BLOCK`` coordinates
-    ``_inverse_factor`` builds W by block recursion instead, and
-    s_A = W'W rhs_A. The caller's gram is never written. A failed pivot is
-    reported at its coordinate in the whole system; a NaN penalty or a
-    non-finite output raises.
+    ``_inverse_factor`` builds W by block recursion instead, in the caller's
+    gram, and s_A = W'W rhs_A. The gram leaves the call bit for bit as it
+    came, also when the call raises; a read-only or non-contiguous one is
+    copied first. While a call runs, the gram's upper triangle (of its
+    C-order view) holds the block, so no other thread may use the gram. A
+    failed pivot is reported at its coordinate in the whole system; a NaN
+    penalty or a non-finite output raises.
     """
     gram = np.asarray(gram, dtype=float)
     penalty_diag = np.asarray(penalty_diag, dtype=float)
@@ -239,8 +285,8 @@ def _solve_block(gram, index, penalty, rhs):
     # C-order view, in whichever order the gram is stored.
     rows = gram.T if gram.flags.f_contiguous else gram
     if index.size > BLOCK:
-        return _solve_by_inverse_factor(rows, index, penalty, rhs)
-    a = _gather(rows, index, index)
+        return _solve_in_gram(rows, index, penalty, rhs)
+    a = _gather(rows, index)
     a[np.diag_indices(index.size)] += penalty[index]
     c = _cholesky(a, index)
     check_rank(np.diagonal(c) ** 2, np.diagonal(rows)[index], index)
@@ -250,24 +296,15 @@ def _solve_block(gram, index, penalty, rhs):
     return sol, np.einsum("ij,ij->j", linv, linv)
 
 
-def _gather(rows, row_index, col_index):
-    """S[row_index][:, col_index] as a new Fortran-order array, for the
-    symmetric S whose C-order view is ``rows`` and sorted index arrays: the
-    transpose of a C-order copy of rows[col_index][:, row_index]. A run of
-    consecutive indices (every coordinate, when none is frozen) is copied as
-    a slice."""
-    r, c = row_index, col_index
-    if r[-1] - r[0] < r.size and c[-1] - c[0] < c.size:
-        return np.array(rows[c[0]:c[-1] + 1, r[0]:r[-1] + 1], order="C").T
-    return rows.take(c, axis=0).take(r, axis=1).T
-
-
-def _quadrants(rows, index):
-    """Fortran-order copies of A11, A21 and A22, split at index.size // 2, of
-    A = S[index][:, index] (see ``_gather``)."""
-    h = index.size // 2
-    i1, i2 = index[:h], index[h:]
-    return _gather(rows, i1, i1), _gather(rows, i2, i1), _gather(rows, i2, i2)
+def _gather(rows, index):
+    """S[index][:, index] as a new Fortran-order array, for the symmetric S
+    whose C-order view is ``rows`` and a sorted index array: the transpose
+    of a C-order copy of rows[index][:, index]. A run of consecutive indices
+    (every coordinate, when none is frozen) is copied as a slice."""
+    first, last = index[0], index[-1] + 1
+    if last - first == index.size:
+        return np.array(rows[first:last, first:last], order="C").T
+    return rows.take(index, axis=0).take(index, axis=1).T
 
 
 def _cholesky(a, index):
@@ -278,54 +315,83 @@ def _cholesky(a, index):
     return c
 
 
-def _inverse_factor(a, index):
-    """W = L^-1, lower triangular, for the Fortran-order SPD matrix whose lower
-    triangle is ``a``; ``a`` is overwritten with W and returned. ``index`` is
-    as in ``_cholesky``."""
-    n = a.shape[0]
-    if n <= BLOCK:
-        return lapack.dtrtri(_cholesky(a, index), lower=1, overwrite_c=1)[0]
-    h = n // 2
-    w11, w21, w22 = _inverse_factor_blocks(*_quadrants(a.T, np.arange(n)), index)
-    a[:h, :h], a[h:, :h], a[h:, h:], a[:h, h:] = w11, w21, w22, 0.0
-    return a
+def _solve_in_gram(rows, index, penalty, rhs):
+    """The solution W'W rhs_A and the inverse diagonal of the block A of
+    ``index``, with W = L^-1 built in the gram itself (see
+    ``_inverse_factor``); the arguments are ``_solve_block``'s.
 
-
-def _inverse_factor_blocks(a11, a21, a22, index):
-    """The blocks W11, W21, W22 of W = L^-1 for the SPD matrix [[A11, A21'],
-    [A21, A22]], given as Fortran-order quadrants (the diagonal ones read
-    in their lower triangle), which are overwritten.
-
-    With L11 = W11^-1 and M = L21 = A21 W11', the Schur complement is
-    S = A22 - M M' = L22 L22', so W22 = L22^-1 and W21 = -W22 M W11."""
-    w11 = _inverse_factor(a11, index)
-    m = blas.dtrmm(1.0, w11, a21, side=1, lower=1, trans_a=1, overwrite_b=1)
-    s = blas.dsyrk(-1.0, m, beta=1.0, c=a22, lower=1, overwrite_c=1)
-    m = blas.dtrmm(1.0, w11, m, side=1, lower=1, overwrite_b=1)
-    w22 = _inverse_factor(s, index[w11.shape[0]:])
-    w21 = blas.dtrmm(-1.0, w22, m, lower=1, overwrite_b=1)
-    return w11, w21, w22
-
-
-def _solve_by_inverse_factor(rows, index, penalty, rhs):
-    """The solution W'W rhs and the column sums of squares of W, block by
-    block, so that W is never assembled."""
-    a11, a21, a22 = _quadrants(rows, index)
-    h = a11.shape[0]
-    penalty, rhs = penalty[index], rhs[index]
-    a11[np.diag_indices(h)] += penalty[:h]
-    a22[np.diag_indices(a22.shape[0])] += penalty[h:]
-    w11, w21, w22 = _inverse_factor_blocks(a11, a21, a22, index)
-    check_rank((1.0 / np.concatenate((np.diagonal(w11), np.diagonal(w22)))) ** 2,
-               np.diagonal(rows)[index], index)
-
-    z1 = matvec(w11, rhs[:h])
-    z2 = matvec(w21, rhs[:h]) + matvec(w22, rhs[h:])
-    sol = np.concatenate((matvec(w11.T, z1) + matvec(w21.T, z2), matvec(w22.T, z2)))
-    inv_diag = np.concatenate((
-        np.einsum("ij,ij->j", w11, w11) + np.einsum("ij,ij->j", w21, w21),
-        np.einsum("ij,ij->j", w22, w22)))
+    G keeps the strict lower triangle of the C-order ``rows``. A, with
+    G_jj + b_j on its diagonal, is written over the upper triangle of the
+    leading |A| x |A| block, which is the lower triangle of the Fortran view
+    that BLAS reads through its leading dimension. When coordinates are
+    frozen, A is compacted there in place, strip by strip: its entry (j, i),
+    j <= i, reads G's at (a_j, a_i), which lies at or after it in C order. The
+    ``finally`` mirrors G back over that triangle and puts back the saved
+    diagonal, so the gram leaves bit for bit as it came, also when a pivot
+    fails. A read-only or non-contiguous gram is copied first."""
+    if not (rows.flags.writeable and rows.flags.c_contiguous):
+        rows = np.array(rows)
+    m = index.size
+    diagonal, sol = np.diagonal(rows).copy(), rhs[index]
+    leading = rows[:m, :m]
+    try:
+        if index[-1] >= m:
+            for s in range(0, m, STRIP):
+                _copy_strip(leading[s:s + STRIP, s:],
+                            rows.take(index[s:s + STRIP], axis=0).take(index[s:], axis=1))
+        np.fill_diagonal(leading, diagonal[index] + penalty[index])
+        inv_diag = np.zeros(m)
+        _inverse_factor(rows, 0, m, index, inv_diag)
+        check_rank((1.0 / np.diagonal(leading)) ** 2, diagonal[index], index)
+        for trans in (b"N", b"T"):  # sol <- W sol, then W' sol
+            _dtrmv(b"L", trans, b"N", _int(m), rows.ctypes.data, _int(rows.shape[0]),
+                   sol.ctypes.data, _int(1))
+    finally:
+        for s in range(0, m, STRIP):
+            _copy_strip(leading[s:s + STRIP, s:], leading[s:, s:s + STRIP].T)
+        np.fill_diagonal(rows, diagonal)
     return sol, inv_diag
+
+
+def _copy_strip(target, source):
+    """Copy the entries of ``source`` on and right of its diagonal onto
+    ``target``, both of at most ``STRIP`` rows: the diagonal square through
+    the strip's mask, the rest as one rectangle."""
+    k = target.shape[0]
+    np.copyto(target[:, :k], source[:, :k], where=_UPPER[:k, :k])
+    target[:, k:] = source[:, k:]
+
+
+def _inverse_factor(rows, o, n, index, inv_diag):
+    """Overwrite the lower triangle of the Fortran view's diagonal block at
+    offset ``o`` and order ``n``, an SPD matrix, with W = L^-1, and add each
+    column's sum of squares of W to ``inv_diag[o:o + n]``. ``index`` names
+    the design columns of the leading block, as in ``_cholesky``.
+
+    Up to ``BLOCK`` the block is copied out and LAPACK factorizes and inverts
+    it. Above, with the split h = n // 2, L11 = W11^-1 and M = L21 = A21 W11',
+    the Schur complement is S = A22 - M M' = L22 L22', so W22 = L22^-1 and
+    W21 = -W22 M W11: BLAS-3 products on the blocks in place."""
+    if n <= BLOCK:
+        block = rows[o:o + n, o:o + n]
+        w = lapack.dtrtri(_cholesky(block.copy().T, index[o:]), lower=1, overwrite_c=1)[0]
+        inv_diag[o:o + n] += np.einsum("ij,ij->j", w, w)
+        for s in range(0, n, STRIP):
+            _copy_strip(block[s:s + STRIP, s:], w.T[s:s + STRIP, s:])
+        return
+    p, h = rows.shape[0], n // 2
+    # The addresses of the Fortran view's entries (o, o), (o + h, o) and (o + h, o + h).
+    top = rows.ctypes.data + rows.itemsize * o * (p + 1)
+    below, corner = top + rows.itemsize * h, top + rows.itemsize * h * (p + 1)
+    ld, rest, half = _int(p), _int(n - h), _int(h)
+    _inverse_factor(rows, o, h, index, inv_diag)
+    _dtrmm(b"R", b"L", b"T", b"N", rest, half, _real(1.0), top, ld, below, ld)  # M
+    _dsyrk(b"L", b"N", rest, half, _real(-1.0), below, ld, _real(1.0), corner, ld)  # S
+    _dtrmm(b"R", b"L", b"N", b"N", rest, half, _real(1.0), top, ld, below, ld)  # M W11
+    _inverse_factor(rows, o + h, n - h, index, inv_diag)
+    _dtrmm(b"L", b"L", b"N", b"N", rest, half, _real(-1.0), corner, ld, below, ld)  # W21
+    w21 = rows[o:o + h, o + h:o + n]  # W21', in the C-order view
+    inv_diag[o:o + h] += np.einsum("ij,ij->i", w21, w21)
 
 
 def inverse_diagonal(gram, penalty_diag):

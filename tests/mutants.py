@@ -44,6 +44,8 @@ class Mutant(NamedTuple):
 WEIGHT_UPDATE = "config.alpha / (beta * beta / state.variance + inv_diag)"
 ORACLE = "tests/test_oracle.py::test_plain_fit_matches_oracle"
 RECURSION = "tests/test_linalg.py::TestInverseFactorRecursion"
+UNWRITTEN = RECURSION + "::test_gram_left_unwritten"
+ORACLE_INPUT = "tests/test_fixed_point.py::TestNonFiniteInput"
 SELECTION_FLOOR = ("tests/test_selection_theory.py::"
                    "test_false_positive_rate_matches_the_scalar_floor")
 ESTIMATED_FLOOR = ("tests/test_selection_theory.py::"
@@ -120,18 +122,42 @@ MUTANTS = (
            ("tests/test_properties.py::test_plain_fit_is_equivariant_under_column_scaling",
             "tests/test_properties.py::test_qr_fit_runs_on_scaled_designs")),
     Mutant("caller's gram written in place", "src/gaga/linalg.py",
-           'return np.array(rows[c[0]:c[-1] + 1, r[0]:r[-1] + 1], order="C").T',
-           "return rows[c[0]:c[-1] + 1, r[0]:r[-1] + 1].T",
+           'return np.array(rows[first:last, first:last], order="C").T',
+           "return rows[first:last, first:last].T",
            ("tests/test_linalg.py::TestSpdSolve::test_in_place_factorization_matches_out_of_place",)),
     Mutant("no block recursion", "src/gaga/linalg.py",
            "BLOCK = 128", "BLOCK = 10**9",
            (RECURSION + "::test_matches_explicit_inverse",
-            "tests/test_counts.py::test_plain_fit_peak_memory_above_block")),
+            "tests/test_counts.py::test_plain_fit_peak_memory_above_block",
+            "tests/test_counts.py::test_plain_fit_peak_memory_at_p_500")),
     Mutant("W21 scaled by -0.999999", "src/gaga/linalg.py",
-           "w21 = blas.dtrmm(-1.0, w22, m, lower=1, overwrite_b=1)",
-           "w21 = blas.dtrmm(-0.999999, w22, m, lower=1, overwrite_b=1)",
+           "half, _real(-1.0), corner, ld, below, ld)",
+           "half, _real(-0.999999), corner, ld, below, ld)",
            (RECURSION + "::test_matches_explicit_inverse",
             RECURSION + "::test_accuracy_matches_unblocked_kernel")),
+    Mutant("gram's upper triangle not restored", "src/gaga/linalg.py",
+           "            _copy_strip(leading[s:s + STRIP, s:], leading[s:, s:s + STRIP].T)\n",
+           "            pass\n",
+           (UNWRITTEN + "[C]", UNWRITTEN + "[F]",
+            FREEZING + "::test_frozen_coordinates_above_block")),
+    Mutant("gram's diagonal not restored", "src/gaga/linalg.py",
+           "        np.fill_diagonal(rows, diagonal)\n", "",
+           (UNWRITTEN + "[C]", UNWRITTEN + "[F]")),
+    Mutant("restore skipped when the recursion raises", "src/gaga/linalg.py",
+           "    finally:\n        for s in range(0, m, STRIP):",
+           "    except SingularSystem:\n        raise\n    if True:\n"
+           "        for s in range(0, m, STRIP):",
+           (UNWRITTEN + "[C]", UNWRITTEN + "[F]")),
+    Mutant("gram that cannot be written solved in place", "src/gaga/linalg.py",
+           "if not (rows.flags.writeable and rows.flags.c_contiguous):", "if False:",
+           (RECURSION + "::test_gram_that_cannot_be_written_is_copied[read-only]",
+            RECURSION + "::test_gram_that_cannot_be_written_is_copied[strided]")),
+    # The compaction, the leaves' copy-back and the restore share one strip
+    # copy, so its mask, transposed, writes each strip's diagonal square over
+    # the lower triangle, which holds G.
+    Mutant("diagonal square of a strip written over the lower triangle", "src/gaga/linalg.py",
+           "_UPPER = np.tri(STRIP, dtype=bool).T", "_UPPER = np.tri(STRIP, dtype=bool)",
+           (UNWRITTEN + "[C]", RECURSION + "::test_matches_explicit_inverse")),
     Mutant("QR ordering outside the kernel", "src/gaga/qr.py",
            "ols, diagonal = spd_solve_in_place(gs.gram, gs.cross)",
            "ols, diagonal = np.linalg.solve(gs.gram, gs.cross), gs.diagonal.copy()",
@@ -221,11 +247,37 @@ MUTANTS = (
     Mutant("negative tuning weight accepted", "src/gaga/types.py",
            "if np.any(tun < 0):", "if False:", (VALIDATION + "::test_estimate_tuning_rejected",)),
     Mutant("nonpositive sigma accepted", "src/gaga/fixed_point.py",
-           "if not sigma > 0:", "if False:",
+           "if not 0 < sigma < math.inf:", "if False:",
            ("tests/test_fixed_point.py::TestThreshold::test_invalid_sigma",)),
+    Mutant("infinite sigma accepted", "src/gaga/fixed_point.py",
+           "0 < sigma < math.inf", "0 < sigma",
+           (ORACLE_INPUT + "::test_infinite_sigma_threshold[inf]",
+            ORACLE_INPUT + "::test_regime_rejects_non_finite[sigma-inf]")),
     Mutant("negative z accepted", "src/gaga/fixed_point.py",
-           "if z < 0:", "if False:",
+           "if not 0 <= z < math.inf:", "if False:",
            ("tests/test_fixed_point.py::TestClosedForm::test_negative_z_rejected",)),
+    Mutant("non-finite z accepted", "src/gaga/fixed_point.py",
+           "if not 0 <= z < math.inf:", "if z < 0:",
+           (ORACLE_INPUT + "::test_regime_rejects_non_finite[z-nan]",
+            ORACLE_INPUT + "::test_regime_rejects_non_finite[z-inf]")),
+    Mutant("infinite alpha accepted by the oracle", "src/gaga/fixed_point.py",
+           "if not 1 < alpha < math.inf:", "if not 1 < alpha:",
+           (ORACLE_INPUT + "::test_non_finite_alpha[inf]",)),
+    Mutant("non-finite coefficient accepted by the tuning limit", "src/gaga/fixed_point.py",
+           "if not math.isfinite(beta_star):", "if False:",
+           (ORACLE_INPUT + "::test_non_finite_coefficient[nan]",
+            ORACLE_INPUT + "::test_non_finite_coefficient[inf]")),
+    Mutant("underflowing coefficient accepted by the tuning limit", "src/gaga/fixed_point.py",
+           "if limit == math.inf:", "if False:",
+           (ORACLE_INPUT + "::test_underflowing_square",)),
+    Mutant("textbook closed form of the fixed point", "src/gaga/fixed_point.py",
+           "    root = math.sqrt(max(1.0 - 4 * alpha * (alpha - 1) * (sigma / a) ** 2, 0.0))\n"
+           "    return 2 * alpha * (sigma / a) * sigma / (1.0 + root)\n",
+           "    disc = max(a * a - 4 * alpha * (alpha - 1) * sigma * sigma, 0.0)\n"
+           "    return (a - math.sqrt(disc)) / (2 * (alpha - 1))\n",
+           ("tests/test_fixed_point.py::TestClosedForm::"
+            "test_matches_the_converged_iterate_for_large_z",
+            "tests/test_fixed_point.py::TestClosedForm::test_largest_z_keeps_its_root")),
     Mutant("max_iter below one accepted", "src/gaga/fixed_point.py",
            "if max_iter < 1:", "if False:",
            ("tests/test_fixed_point.py::TestClassify::test_max_iter_below_one_rejected",)),

@@ -93,13 +93,22 @@ def test_plain_fit_peak_memory():
 
 
 def test_plain_fit_peak_memory_above_block():
-    # About 1.82 p x p at p = 256, where p x p arrays dominate: the gram, the
-    # kernel's three quadrants of the active block, each gathered once from
-    # the gram, and the smaller copies of its recursion. The unblocked
-    # kernel's peak was 2.57.
+    # About 1.70 p x p at p = 256: the gram, in which the kernel builds the
+    # inverse factor of the active block, and transients of a few strips of
+    # rows, which weigh more at this p than at the next test's: a strip of
+    # the block's compaction when coordinates are frozen (64 rows of the gram
+    # and 64 of the block), and one leaf of the recursion. Three quadrants
+    # gathered out of the gram, and the copies of their recursion, read 1.81;
+    # the unblocked kernel read 2.57.
     problem = _problem(n=400, p=256)
     assert problem.p > gaga.linalg.BLOCK
-    assert _peak_per_gram(problem) <= 1.82
+    assert _peak_per_gram(problem) <= 1.72
+
+
+def test_plain_fit_peak_memory_at_p_500():
+    # About 1.23 p x p at 1000 x 500, against 1.96 for three quadrants
+    # gathered out of the gram and the copies of their recursion.
+    assert _peak_per_gram(_problem(n=1000, p=500)) <= 1.25
 
 
 def _design_peak(draw):

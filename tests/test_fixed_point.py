@@ -76,6 +76,20 @@ class TestClosedForm:
         with pytest.raises(InvalidInput):
             ScalarRegime.from_params(-1.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("z", [1e4, 1e6, 1e8, 1e10])
+    def test_matches_the_converged_iterate_for_large_z(self, z):
+        # The root near alpha sigma^2 / z is a difference of two numbers near z
+        # in the textbook form, which kept 2.1e-9 of its digits at z = 1e4 and
+        # returned 0.0 at 1e10, where the map converges to 2.0e-10.
+        r = ScalarRegime.from_params(z, 1.0, 2.0)
+        label, traj = classify_trajectory(r, 1000)
+        assert label == CONVERGENT
+        assert closed_form_fixed_point(r) == pytest.approx(traj[-1], rel=1e-12, abs=0)
+
+    def test_largest_z_keeps_its_root(self):
+        r = ScalarRegime.from_params(1e308, 1.0, 2.0)
+        assert closed_form_fixed_point(r) == pytest.approx(2e-308, rel=1e-12, abs=0)
+
     def test_boundary_value(self):
         alpha, sigma = 2.0, 1.0
         z = convergence_threshold(alpha, sigma)
@@ -149,6 +163,50 @@ class TestClassify:
             label, traj = classify_trajectory(r, 50_000)
             assert label == CONVERGENT
             assert traj[-1] == pytest.approx(closed_form_fixed_point(r), abs=1e-8)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInput:
+    """Every input of the oracle gives a finite output or a typed error."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["z", "sigma"])
+    def test_regime_rejects_non_finite(self, name, value):
+        params = {"z": 10.0, "sigma": 1.0, "alpha": 2.0, name: value}
+        with pytest.raises(InvalidInput):
+            ScalarRegime.from_params(**params)
+
+    @pytest.mark.parametrize("alpha", NON_FINITE)
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(InvalidAlpha):
+            convergence_threshold(alpha, 1.0)
+        with pytest.raises(InvalidAlpha):
+            ScalarRegime.from_params(10.0, 1.0, alpha)
+        with pytest.raises(InvalidAlpha):
+            asymptotic_tuning_limit(1.0, alpha)
+
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf])
+    def test_infinite_sigma_threshold(self, sigma):
+        with pytest.raises(InvalidInput):
+            convergence_threshold(2.0, sigma)
+
+    @pytest.mark.parametrize("beta_star", NON_FINITE)
+    def test_non_finite_coefficient(self, beta_star):
+        with pytest.raises(InvalidInput):
+            asymptotic_tuning_limit(beta_star, 2.0)
+
+    @pytest.mark.parametrize("beta_star", [1e-200, -1e-170, 5e-324, 1e-154])
+    def test_underflowing_square(self, beta_star):
+        # beta_star^2 is 0.0 in floating point, so alpha / beta_star^2 would
+        # divide by zero, or (at 1e-154) a subnormal that the division
+        # overflows to inf.
+        with pytest.raises(InvalidInput, match="underflows"):
+            asymptotic_tuning_limit(beta_star, 2.0)
+
+    def test_small_coefficient_keeps_a_finite_limit(self):
+        assert asymptotic_tuning_limit(1e-150, 2.0) == pytest.approx(2e300, rel=1e-15)
 
 
 class TestAsymptoticLimit:

@@ -370,8 +370,9 @@ class TestFreezing:
         assert np.allclose(d, np.diagonal(full_inv), rtol=1e-8, atol=0)
 
     def test_frozen_coordinates_above_block(self, factorized):
-        # An active block above BLOCK is gathered as three quadrants, from a
-        # gram in either storage order, which is read and never written.
+        # An active block above BLOCK is compacted in the gram's upper
+        # triangle, in either storage order, and the gram is put back as it
+        # came.
         rng = np.random.default_rng(17)
         p = 300
         x = rng.standard_normal((p + 50, p)) * np.geomspace(0.1, 10.0, p)
@@ -462,25 +463,36 @@ def test_overflowing_closed_form_raises_without_a_warning():
             spd_solve_with_inverse_diagonal(np.array([1e-310]), np.zeros(1), np.ones(1))
 
 
+def recursion_leaves(n):
+    """The orders of the blocks the recursion factorizes for a block of n:
+    it splits at n // 2 until a block is at most BLOCK."""
+    if n <= BLOCK:
+        return [n]
+    return recursion_leaves(n // 2) + recursion_leaves(n - n // 2)
+
+
 class TestInverseFactorRecursion:
-    """Above BLOCK coordinates the kernel builds W = L^-1 by block recursion."""
+    """Above BLOCK coordinates the kernel builds W = L^-1 by block recursion
+    in the caller's gram, and puts the gram back as it came."""
 
     @pytest.fixture
-    def dtrmm_calls(self, monkeypatch):
-        # Count the recursion's BLAS-3 calls, so a silent fallback to the
-        # unblocked path cannot pass these tests.
-        calls = []
+    def leaves(self, monkeypatch):
+        # The order of each Cholesky factorization, read through the kernel's
+        # LAPACK, so that a silent fallback to one factorization of the whole
+        # block cannot pass these tests: p = 300 must factorize four leaves
+        # of 75.
+        sizes = []
 
-        class CountingBlas:
+        class CountingLapack:
             def __getattr__(self, name):
-                return getattr(blas, name)
+                return getattr(lapack, name)
 
-            def dtrmm(self, *args, **kwargs):
-                calls.append(args[1].shape)
-                return blas.dtrmm(*args, **kwargs)
+            def dpotrf(self, a, *args, **kwargs):
+                sizes.append(a.shape[0])
+                return lapack.dpotrf(a, *args, **kwargs)
 
-        monkeypatch.setattr(gaga.linalg, "blas", CountingBlas())
-        return calls
+        monkeypatch.setattr(gaga.linalg, "lapack", CountingLapack())
+        return sizes
 
     @staticmethod
     def duplicated_column_gram(p, kept, copied):
@@ -489,8 +501,13 @@ class TestInverseFactorRecursion:
         x[:, copied] = x[:, kept]
         return x.T @ x
 
+    def test_leaves_of_the_recursion(self):
+        assert recursion_leaves(300) == [75] * 4
+        assert recursion_leaves(BLOCK + 1) == [BLOCK // 2, BLOCK // 2 + 1]
+        assert recursion_leaves(513) == [128, 128, 128, 129 // 2, 129 - 129 // 2]
+
     @pytest.mark.parametrize("p", [BLOCK + 1, 300, 513])
-    def test_matches_explicit_inverse(self, p, dtrmm_calls):
+    def test_matches_explicit_inverse(self, p, leaves):
         # 129, 300 and 513 split unevenly at some level of the recursion.
         rng = np.random.default_rng(p)
         x = rng.standard_normal((p + 50, p))
@@ -500,25 +517,69 @@ class TestInverseFactorRecursion:
         rhs = rng.standard_normal(p)
         sol, d = spd_solve_with_inverse_diagonal(g, b, rhs)
         full_inv = np.linalg.inv(g + np.diag(b))
-        assert dtrmm_calls
+        assert leaves == recursion_leaves(p)
         assert np.allclose(sol, full_inv @ rhs, atol=0, rtol=1e-10)
         assert np.allclose(d, np.diagonal(full_inv), atol=0, rtol=1e-10)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_gram_left_unwritten(self, order, dtrmm_calls):
-        rng = np.random.default_rng(5)
-        g = np.asarray(random_spd(rng, 300), order=order)
-        kept = g.copy()
-        b, rhs = rng.uniform(0, 5, 300), rng.standard_normal(300)
-        sol, d = spd_solve_with_inverse_diagonal(g, b, rhs)
-        assert dtrmm_calls
-        assert np.array_equal(g, kept)
-        full_inv = np.linalg.inv(g + np.diag(b))
-        assert np.allclose(d, np.diagonal(full_inv), atol=0, rtol=1e-10)
+    def test_gram_left_unwritten(self, order, leaves):
+        # The recursion writes the block over the gram's upper triangle (of
+        # its C-order view) and puts G back bit for bit: after a solve of the
+        # whole system, after one whose frozen coordinates make it compact
+        # the block in place, and after a failed pivot in the second half of
+        # the split, which raises from inside the recursion.
+        p = 300
+        for case in ("none frozen", "frozen", "pivot fails"):
+            rng = np.random.default_rng(5)
+            b, rhs = rng.uniform(0, 5, p), rng.standard_normal(p)
+            if case == "pivot fails":
+                g = self.duplicated_column_gram(p, 40, 293)
+                b[:] = 0.0
+            else:
+                g = random_spd(rng, p)
+            if case == "frozen":
+                b[1::3] = 1e3 * FREEZE_RATIO * np.diagonal(g)[1::3]
+            gram = np.array(g, order=order)
+            leaves.clear()
+            if case == "pivot fails":
+                with pytest.raises(SingularSystem) as exc:
+                    spd_solve_with_inverse_diagonal(gram, b, rhs)
+                assert exc.value.pivot == 293
+            else:
+                sol, d = spd_solve_with_inverse_diagonal(gram, b, rhs)
+                full_inv = np.linalg.inv(g + np.diag(b))
+                assert np.allclose(sol, full_inv @ rhs, atol=0, rtol=1e-8)
+                assert np.allclose(d, np.diagonal(full_inv), atol=0, rtol=1e-8)
+            assert np.array_equal(gram, g), case
+            assert leaves == recursion_leaves(p - p // 3 if case == "frozen" else p)
+
+    @pytest.mark.parametrize("layout", ["read-only", "strided"])
+    def test_gram_that_cannot_be_written_is_copied(self, layout, leaves):
+        # A read-only gram, or one that is neither C- nor Fortran-contiguous,
+        # is solved on a copy, and the caller's array is not written.
+        p = 300
+        rng = np.random.default_rng(6)
+        g = random_spd(rng, p)
+        b, rhs = rng.uniform(0, 5, p), rng.standard_normal(p)
+        if layout == "read-only":
+            gram = g.copy()
+            gram.setflags(write=False)
+        else:
+            big = np.zeros((2 * p, 2 * p))
+            big[::2, ::2] = g
+            gram = big[::2, ::2]
+            assert not (gram.flags.c_contiguous or gram.flags.f_contiguous)
+        sol, d = spd_solve_with_inverse_diagonal(gram, b, rhs)
+        ref_sol, ref_d = spd_solve_with_inverse_diagonal(g, b, rhs)
+        assert np.array_equal(sol, ref_sol) and np.array_equal(d, ref_d)
+        assert np.array_equal(gram, g)
+        if layout == "strided":
+            assert not big[1::2].any() and not big[:, 1::2].any()
+        assert leaves == 2 * recursion_leaves(p)
 
     @pytest.mark.parametrize("p, kept, copied", [
         (300, 10, 122), (300, 40, 293), (300, 149, 150), (513, 5, 506), (513, 300, 400)])
-    def test_duplicated_column_reports_its_pivot(self, p, kept, copied, dtrmm_calls):
+    def test_duplicated_column_reports_its_pivot(self, p, kept, copied, leaves):
         # The pivot is that of one Cholesky factorization of the whole system,
         # in the first half of the split or the second.
         g = self.duplicated_column_gram(p, kept, copied)
@@ -527,9 +588,9 @@ class TestInverseFactorRecursion:
                 spd_solve_with_inverse_diagonal(
                     np.asarray(g, order=order), np.zeros(p), np.ones(p))
             assert exc.value.pivot == copied
-        assert dtrmm_calls
+        assert leaves and max(leaves) <= BLOCK
 
-    def test_accuracy_matches_unblocked_kernel(self, monkeypatch, dtrmm_calls):
+    def test_accuracy_matches_unblocked_kernel(self, monkeypatch, leaves):
         # Column scales over 10^2.85 give cond(X'X) of about 5e6. The recursion
         # is as accurate against inv as one Cholesky factorization of the
         # whole system (the kernel with BLOCK raised to p).
@@ -548,21 +609,20 @@ class TestInverseFactorRecursion:
                     np.abs(d - ref_d).max() / ref_d.max())
 
         blocked = errors()
-        assert dtrmm_calls
+        assert leaves == recursion_leaves(p)
         monkeypatch.setattr(gaga.linalg, "BLOCK", p)
-        calls = len(dtrmm_calls)
         unblocked = errors()
-        assert len(dtrmm_calls) == calls
+        assert leaves == recursion_leaves(p) + [p]
         assert max(unblocked) < 1e-12
         assert blocked[0] <= 1.25 * unblocked[0]
         assert blocked[1] <= 1.25 * unblocked[1]
 
-    def test_solve_alone_skips_the_recursion(self, dtrmm_calls):
+    def test_solve_alone_skips_the_recursion(self, leaves):
         rng = np.random.default_rng(8)
         g = random_spd(rng, 300)
         rhs = rng.standard_normal(300)
         sol, diagonal = spd_solve_in_place(g.copy(), rhs)
-        assert np.array_equal(diagonal, np.diagonal(g)) and not dtrmm_calls
+        assert np.array_equal(diagonal, np.diagonal(g)) and leaves == [300]
         assert np.allclose(sol, np.linalg.solve(g, rhs), atol=0, rtol=1e-10)
 
 

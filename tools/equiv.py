@@ -29,8 +29,9 @@ generator change makes the two trees fit different designs:
 The second is the class of the fits and then the CLI outputs:
 
 - ``bit-identical``: every coefficient, tuning weight and variance is equal;
-- ``support identical``: with the worst coefficient gap, relative to
-  max(1, max |REV's coefficients|), and the fit where it occurs;
+- ``support identical``: with the worst gap of the coefficients, of the
+  tuning weights and of the estimated variance, each relative to
+  max(1, max |REV's values|), and the fit where it occurs;
 - ``support changed``: with the first fit whose support (or error) differs.
   The exit code is then 1; it is 2 when a tree cannot be exported or run.
 - ``CLI CSVs byte-identical``, or the commands whose CSVs differ. A
@@ -55,6 +56,8 @@ EXPERIMENT_CONFIG = "model = model1\nreplicates = 10\nestimators = gaga,gaga_qr\
 CLI_COMMANDS = {"experiment": ["experiment", "--config", "{config}"],
                 "fit": ["fit", "--design", "{instance}"],
                 "fit --qr": ["fit", "--design", "{instance}", "--qr"]}
+# The saved arrays of a fit whose gaps a support-identical change reports.
+GAPS = {"coefficients": "coefficient", "tuning": "tuning", "variance": "variance"}
 ONE_THREAD = {name: "1" for name in
               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -175,7 +178,7 @@ def compare(base, new):
     keys = fit_keys(base)
     if keys != fit_keys(new):
         return "support changed: the two trees ran different fits", 1
-    identical, worst, worst_at = True, 0.0, None
+    identical, worst = True, {}
     for key in keys:
         a = {k.split("|")[1]: v for k, v in base.items() if k.startswith(key + "|")}
         b = {k.split("|")[1]: v for k, v in new.items() if k.startswith(key + "|")}
@@ -187,14 +190,15 @@ def compare(base, new):
         if not np.array_equal(a["coefficients"] != 0, b["coefficients"] != 0):
             return f"support changed: first at {key}", 1
         identical &= all(np.array_equal(a[k], b[k]) for k in a)
-        gap = (np.max(np.abs(a["coefficients"] - b["coefficients"]))
-               / max(1.0, np.max(np.abs(a["coefficients"]))))
-        if gap > worst:
-            worst, worst_at = gap, key
+        for part in GAPS:
+            gap = np.max(np.abs(a[part] - b[part])) / max(1.0, np.max(np.abs(a[part])))
+            if gap > worst.get(part, (0.0,))[0]:
+                worst[part] = (gap, key)
     if identical:
         return f"bit-identical: coefficients, tuning and variance of all {len(keys)} fits", 0
-    return (f"support identical on all {len(keys)} fits; worst relative coefficient gap "
-            f"{worst:.3g}" + (f" at {worst_at}" if worst_at else "")), 0
+    gaps = [f"{name} gap {worst[part][0]:.3g} at {worst[part][1]}" if part in worst
+            else f"{name} gap 0" for part, name in GAPS.items()]
+    return (f"support identical on all {len(keys)} fits; worst relative " + "; ".join(gaps)), 0
 
 
 def export(rev, tree):
