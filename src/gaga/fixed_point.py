@@ -32,7 +32,11 @@ def convergence_threshold(alpha: float, sigma: float) -> float:
     _check_alpha(alpha)
     if not 0 < sigma < math.inf:
         raise InvalidInput(f"sigma must be positive and finite, got {sigma}")
-    return ((2 * alpha - 1) + 2 * math.sqrt(alpha * (alpha - 1))) * sigma
+    threshold = ((2 * alpha - 1) + 2 * math.sqrt(alpha * (alpha - 1))) * sigma
+    if threshold == math.inf:
+        raise InvalidInput(f"the convergence threshold overflows at alpha = {alpha}, "
+                           f"sigma = {sigma}")
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -52,9 +56,10 @@ class ScalarRegime:
 
 
 def map_value(x: float, regime: ScalarRegime) -> float:
-    """One recursion step: alpha*(x+sigma)^2/(x+sigma+z)."""
+    """One recursion step: alpha*(x+sigma)^2/(x+sigma+z), taken as
+    alpha*s/(1 + z/s) with s = x + sigma, so that no square overflows."""
     s = x + regime.sigma
-    return regime.alpha * s * s / (s + regime.z)
+    return regime.alpha * (s / (1.0 + regime.z / s))
 
 
 def closed_form_fixed_point(regime: ScalarRegime) -> Optional[float]:

@@ -47,8 +47,8 @@ def _permute_in_place(rows, diagonal, perm):
     """P'GP in the square ``rows``, from G in its strict lower triangle and
     ``diagonal``. Each row of G is gathered, in source order, into the upper
     triangle of its permuted row; the reads all lie in the strict lower
-    triangle, so none is overwritten first. ``mirror_upper`` then copies
-    the upper triangle onto the lower one."""
+    triangle, so none is overwritten first. ``mirror_upper``, the kernel's
+    one triangle copy, then copies the upper triangle onto the lower one."""
     p = rows.shape[0]
     where = np.empty_like(perm)
     where[perm] = np.arange(p)

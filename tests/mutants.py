@@ -65,6 +65,7 @@ LOADER = 'blas, lapack = _load_extension("_fblas"), _load_extension("_flapack")'
 MIN_MAX = "np.isfinite(a.min()) and np.isfinite(a.max())"
 SYMMETRIC_GRAM = "tests/test_linalg.py::TestBuildGram::test_gram_exactly_symmetric"
 SCIPY_GRAM = "tests/test_linalg.py::TestBuildGram::test_gram_and_cross_take_scipy_blas"
+SHARED_GRAM = "tests/test_solver.py::TestGagaFit::test_threads_sharing_one_gram_system"
 
 MUTANTS = (
     Mutant("frozen coupling dropped", "src/gaga/linalg.py",
@@ -136,23 +137,21 @@ MUTANTS = (
            (RECURSION + "::test_matches_explicit_inverse",
             RECURSION + "::test_accuracy_matches_unblocked_kernel")),
     Mutant("gram's upper triangle not restored", "src/gaga/linalg.py",
-           "            _copy_strip(leading[s:s + STRIP, s:], leading[s:, s:s + STRIP].T)\n",
-           "            pass\n",
+           "        mirror_upper(leading[::-1, ::-1])\n", "",
            (UNWRITTEN + "[C]", UNWRITTEN + "[F]",
             FREEZING + "::test_frozen_coordinates_above_block")),
     Mutant("gram's diagonal not restored", "src/gaga/linalg.py",
            "        np.fill_diagonal(rows, diagonal)\n", "",
            (UNWRITTEN + "[C]", UNWRITTEN + "[F]")),
     Mutant("restore skipped when the recursion raises", "src/gaga/linalg.py",
-           "    finally:\n        for s in range(0, m, STRIP):",
-           "    except SingularSystem:\n        raise\n    if True:\n"
-           "        for s in range(0, m, STRIP):",
+           "    finally:\n        mirror_upper(leading",
+           "    except SingularSystem:\n        raise\n    if True:\n        mirror_upper(leading",
            (UNWRITTEN + "[C]", UNWRITTEN + "[F]")),
     Mutant("gram that cannot be written solved in place", "src/gaga/linalg.py",
            "if not (rows.flags.writeable and rows.flags.c_contiguous):", "if False:",
            (RECURSION + "::test_gram_that_cannot_be_written_is_copied[read-only]",
             RECURSION + "::test_gram_that_cannot_be_written_is_copied[strided]")),
-    # The compaction, the leaves' copy-back and the restore share one strip
+    # The compaction, the leaves' copy-back and every mirror share one strip
     # copy, so its mask, transposed, writes each strip's diagonal square over
     # the lower triangle, which holds G.
     Mutant("diagonal square of a strip written over the lower triangle", "src/gaga/linalg.py",
@@ -278,6 +277,13 @@ MUTANTS = (
            ("tests/test_fixed_point.py::TestClosedForm::"
             "test_matches_the_converged_iterate_for_large_z",
             "tests/test_fixed_point.py::TestClosedForm::test_largest_z_keeps_its_root")),
+    Mutant("overflowing threshold returned", "src/gaga/fixed_point.py",
+           "    if threshold == math.inf:\n", "    if False:\n",
+           (ORACLE_INPUT + "::test_overflowing_threshold",)),
+    Mutant("recursion step squares x + sigma", "src/gaga/fixed_point.py",
+           "return regime.alpha * (s / (1.0 + regime.z / s))",
+           "return regime.alpha * s * s / (s + regime.z)",
+           (ORACLE_INPUT + "::test_large_regime_converges_without_overflow",)),
     Mutant("max_iter below one accepted", "src/gaga/fixed_point.py",
            "if max_iter < 1:", "if False:",
            ("tests/test_fixed_point.py::TestClassify::test_max_iter_below_one_rejected",)),
@@ -412,10 +418,17 @@ MUTANTS = (
            "diagonal[k:k + 1]", "rows[k, k:k + 1]",
            (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",
             IN_PLACE_QR + "::test_fit_factorizes_the_gram_in_place")),
+    # build_gram, the QR permutation and the kernel's restore share one
+    # mirror. A last strip of one row (p = 257 or 513) holds only its
+    # diagonal, so the tests that see this one have a longer last strip.
     Mutant("last partial strip of a gram not mirrored", "src/gaga/linalg.py",
-           "for a in range(0, p, RESTORE):", "for a in range(0, p - p % RESTORE, RESTORE):",
-           (IN_PLACE_QR + "::test_permuted_buffer_is_the_fancy_index_copy",
-            SYMMETRIC_GRAM + "[C]")),
+           "for s in range(0, rows.shape[0], STRIP):",
+           "for s in range(0, rows.shape[0] - rows.shape[0] % STRIP, STRIP):",
+           (IN_PLACE_QR + "::test_fit_factorizes_the_gram_in_place",
+            SYMMETRIC_GRAM + "[C]", UNWRITTEN + "[C]")),
+    Mutant("fit solves in a gram that another fit holds", "src/gaga/linalg.py",
+           "        saved = _IN_USE.get(key)\n", "        saved = None\n",
+           (SHARED_GRAM + "[C]", SHARED_GRAM + "[F]")),
     Mutant("infinite estimation error scored", "src/gaga/harness.py",
            "if not math.isfinite(report.err):", "if math.isnan(report.err):",
            (NON_FINITE_ROW + "[inf]", NON_FINITE_ROW + "[1e308]")),

@@ -93,11 +93,11 @@ def test_plain_fit_peak_memory():
 
 
 def test_plain_fit_peak_memory_above_block():
-    # About 1.70 p x p at p = 256: the gram, in which the kernel builds the
+    # About 1.71 p x p at p = 256: the gram, in which the kernel builds the
     # inverse factor of the active block, and transients of a few strips of
     # rows, which weigh more at this p than at the next test's: a strip of
-    # the block's compaction when coordinates are frozen (64 rows of the gram
-    # and 64 of the block), and one leaf of the recursion. Three quadrants
+    # the block's compaction when coordinates are frozen (32 rows of the gram
+    # and 32 of the block), and one leaf of the recursion. Three quadrants
     # gathered out of the gram, and the copies of their recursion, read 1.81;
     # the unblocked kernel read 2.57.
     problem = _problem(n=400, p=256)
@@ -106,9 +106,10 @@ def test_plain_fit_peak_memory_above_block():
 
 
 def test_plain_fit_peak_memory_at_p_500():
-    # About 1.23 p x p at 1000 x 500, against 1.96 for three quadrants
-    # gathered out of the gram and the copies of their recursion.
-    assert _peak_per_gram(_problem(n=1000, p=500)) <= 1.25
+    # About 1.13 p x p at 1000 x 500, against 1.96 for three quadrants
+    # gathered out of the gram and the copies of their recursion. Strips of
+    # 64 rows, whose compaction gathers twice as much at a time, read 1.23.
+    assert _peak_per_gram(_problem(n=1000, p=500)) <= 1.15
 
 
 def _design_peak(draw):
@@ -156,9 +157,10 @@ def test_highdim_design_peak_memory():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_gram_peak_memory(order):
-    # About 1.006 p x p at 4000 x 300: the gram, which dsyrk writes into a
-    # new array, and X'y. Both read the design in place; a copy of it would
-    # read 14.3.
+    # About 1.013 p x p at 4000 x 300: the gram, which dsyrk writes into a
+    # new array, X'y, and the copy numpy makes of one diagonal square of a
+    # strip while it mirrors the gram's triangle (32 x 32; 64 x 64 read
+    # 1.047). Both read the design in place; a copy of it would read 14.3.
     n, p = 4000, 300
     x = np.array(stream_rng(0, "design").standard_normal((n, p)), order=order)
     problem = RegressionProblem(design=x, response=np.ones(n))

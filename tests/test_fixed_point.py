@@ -175,7 +175,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("name", ["z", "sigma"])
     def test_regime_rejects_non_finite(self, name, value):
         params = {"z": 10.0, "sigma": 1.0, "alpha": 2.0, name: value}
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=f"{name} must be"):
             ScalarRegime.from_params(**params)
 
     @pytest.mark.parametrize("alpha", NON_FINITE)
@@ -189,7 +189,8 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("sigma", [math.inf, -math.inf])
     def test_infinite_sigma_threshold(self, sigma):
-        with pytest.raises(InvalidInput):
+        # Named as a bad sigma, not as the overflow it would also cause.
+        with pytest.raises(InvalidInput, match="sigma must be"):
             convergence_threshold(2.0, sigma)
 
     @pytest.mark.parametrize("beta_star", NON_FINITE)
@@ -204,6 +205,25 @@ class TestNonFiniteInput:
         # overflows to inf.
         with pytest.raises(InvalidInput, match="underflows"):
             asymptotic_tuning_limit(beta_star, 2.0)
+
+    @pytest.mark.parametrize("alpha, sigma", [(2.0, 1e308), (2.0, 4e307), (1e200, 1.0)])
+    def test_overflowing_threshold(self, alpha, sigma):
+        # Finite inputs whose threshold ((2a - 1) + 2 sqrt(a(a - 1))) sigma,
+        # or a(a - 1) on the way, is above the largest double.
+        with pytest.raises(InvalidInput, match="overflows"):
+            convergence_threshold(alpha, sigma)
+        with pytest.raises(InvalidInput, match="overflows"):
+            ScalarRegime.from_params(10.0, sigma, alpha)
+
+    def test_large_regime_converges_without_overflow(self):
+        # (x + sigma)^2 overflows at sigma = 1e200, but the step does not
+        # square it: z is above the threshold (9.9e200), so the iterates
+        # converge, to the closed form.
+        r = ScalarRegime.from_params(1e300, 1e200, 3.0)
+        label, traj = classify_trajectory(r, 100)
+        assert label == CONVERGENT
+        assert all(math.isfinite(b) for b in traj)
+        assert traj[-1] == pytest.approx(closed_form_fixed_point(r), rel=1e-12)
 
     def test_small_coefficient_keeps_a_finite_limit(self):
         assert asymptotic_tuning_limit(1e-150, 2.0) == pytest.approx(2e300, rel=1e-15)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -65,13 +66,14 @@ class TestBuildGram:
                                         "row_stride", "reversed"])
     def test_gram_exactly_symmetric(self, layout):
         # One triangle of X'X comes from dsyrk and is copied onto the other,
-        # a strip of RESTORE columns at a time, so p = 333 has a partial
-        # strip. The gram and X'y match numpy's products of the C-order
-        # design to rounding; whether they match bit for bit depends on the
-        # two libraries' OpenBLAS builds, so tools/equiv.py checks that of
-        # the fits, at one thread.
+        # a strip of STRIP rows at a time, so p = 333 has a partial strip,
+        # and p = 512 has rows of 4 KB. The gram and X'y match numpy's
+        # products of the C-order design to rounding; whether they match bit
+        # for bit depends on the two libraries' OpenBLAS builds, so
+        # tools/equiv.py checks that of the fits, at one thread.
         rng = np.random.default_rng(7)
-        for n, p in [(3, 2), (50, 1), (7, 5), (40, 17), (300, 64), (129, 130), (600, 333)]:
+        for n, p in [(3, 2), (50, 1), (7, 5), (40, 17), (300, 64), (129, 130), (600, 333),
+                     (200, 512)]:
             base = rng.standard_normal((2 * n, 2 * p))
             x = {"C": base[:n, :p].copy(), "F": np.asfortranarray(base[:n, :p]),
                  "column_block": base[:n, 1:p + 1], "column_step": base[:n, 1::2],
@@ -527,9 +529,10 @@ class TestInverseFactorRecursion:
         # its C-order view) and puts G back bit for bit: after a solve of the
         # whole system, after one whose frozen coordinates make it compact
         # the block in place, and after a failed pivot in the second half of
-        # the split, which raises from inside the recursion.
-        p = 300
-        for case in ("none frozen", "frozen", "pivot fails"):
+        # the split, which raises from inside the recursion. Blocks of 300,
+        # 200 and 683 end in a partial strip of STRIP rows; a gram of 1024
+        # has rows of 4 KB.
+        for p, case in itertools.product((300, 1024), ("none frozen", "frozen", "pivot fails")):
             rng = np.random.default_rng(5)
             b, rhs = rng.uniform(0, 5, p), rng.standard_normal(p)
             if case == "pivot fails":
@@ -550,7 +553,7 @@ class TestInverseFactorRecursion:
                 full_inv = np.linalg.inv(g + np.diag(b))
                 assert np.allclose(sol, full_inv @ rhs, atol=0, rtol=1e-8)
                 assert np.allclose(d, np.diagonal(full_inv), atol=0, rtol=1e-8)
-            assert np.array_equal(gram, g), case
+            assert np.array_equal(gram, g), (p, case)
             assert leaves == recursion_leaves(p - p // 3 if case == "frozen" else p)
 
     @pytest.mark.parametrize("layout", ["read-only", "strided"])

@@ -305,7 +305,7 @@ class TestInPlaceCholeskyQr:
         return seen
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("p", [257, 513])  # the last strip is one column wide
+    @pytest.mark.parametrize("p", [257, 512, 513])  # a last strip of one row; rows of 4 KB
     def test_permuted_buffer_is_the_fancy_index_copy(self, factored, order, p):
         rng = np.random.default_rng(p)
         x = rng.standard_normal((p + 20, p))

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from gaga import (
     gaga_qr_fit,
     spd_solve_with_inverse_diagonal,
 )
+import gaga.linalg
 from gaga import solver
+from gaga.datagen import gen_highdim
 from gaga.linalg import FREEZE_RATIO
 from gaga.solver import (
     estimate_variance_em,
@@ -277,6 +282,37 @@ class TestGagaFit:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.tuning, b.tuning)
         assert a.estimated_variance == b.estimated_variance
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_threads_sharing_one_gram_system(self, order):
+        # Above BLOCK a kernel call writes over one triangle and the diagonal
+        # of the gram, and a fit reads the gram between its calls. So a fit
+        # that finds its gram held by another thread's fit solves in a copy,
+        # and each thread's fit is bit for bit its serial one. Three threads
+        # that switch often make the fits overlap on any number of cores.
+        problem = gen_highdim(0, 400, 300).problem
+        built = build_gram(problem)
+        gram = built.gram.copy()
+        gs = GramSystem(gram=np.array(gram, order=order), cross=built.cross,
+                        response_sq_norm=built.response_sq_norm)
+        configs = [GagaConfig(alpha=2.0), GagaConfig(alpha=3.0, variance_mode=ESTIMATED),
+                   GagaConfig(alpha=2.5, variance_mode=ESTIMATED)]
+        serial = [fit_gram(gs, problem.n, c) for c in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                with ThreadPoolExecutor(len(configs)) as pool:
+                    futures = [pool.submit(fit_gram, gs, problem.n, c) for c in configs]
+                    fits = [f.result(timeout=60) for f in futures]
+                for got, want in zip(fits, serial):
+                    assert np.array_equal(got.coefficients, want.coefficients)
+                    assert np.array_equal(got.tuning, want.tuning)
+                    assert got.estimated_variance == want.estimated_variance
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(gs.gram, gram)
+        assert not gaga.linalg._IN_USE
 
     def test_monotone_tuning_growth_below_threshold(self):
         # zero signal, z below threshold: tuning strictly increases until clamp
