@@ -88,7 +88,6 @@ def classify_trajectory(regime: ScalarRegime, max_iter: int):
     """
     if max_iter < 1:
         raise InvalidInput("max_iter must be >= 1")
-    escape = _ESCAPE_FACTOR * regime.threshold
     b = 0.0
     traj = [b]
     for _ in range(max_iter):
@@ -97,7 +96,8 @@ def classify_trajectory(regime: ScalarRegime, max_iter: int):
         if abs(nxt - b) < 1e-12 * (1.0 + b):
             return CONVERGENT, traj
         b = nxt
-        if b > escape:
+        # b is divided, since 1e3 thresholds overflow above a threshold of 1.8e305.
+        if b / _ESCAPE_FACTOR > regime.threshold:
             return DIVERGENT, traj
     return UNDECIDED, traj
 

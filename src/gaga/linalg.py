@@ -11,11 +11,11 @@ gram into a Fortran-order buffer, whose factor LAPACK inverts in place. A
 larger block is written over one triangle of the caller's gram, which keeps
 G in the other, and W is built there by 2x2 block recursion with BLAS-3
 products, never forming L; the gram is put back as it came (see
-``_solve_in_gram``). Every copy of one triangle of a gram onto the other
-(in ``build_gram``, the QR permutation and that restore) is one routine,
-``mirror_upper``, which reads the source along rows. A fit holds its gram
-for its length (``hold_gram``): another fit on the same gram, in another
-thread, solves in a copy. A diagonal system is passed as the length-p
+``_solve_in_gram``). So no two threads may solve in one gram at once:
+``fit_gram`` solves in its own copy, and ``gaga_fit`` in the gram it built.
+Every copy of one triangle of a gram onto the other (in ``build_gram``, the
+QR permutation and that restore) is one routine, ``mirror_upper``, which
+reads the source along rows. A diagonal system is passed as the length-p
 vector of its diagonal, as ``GramSystem`` stores one; it takes the closed
 form and never factorizes.
 
@@ -33,11 +33,9 @@ arrays and the recursion works on blocks of the gram.
 """
 
 import ctypes
-import dataclasses
 import importlib.machinery
 import importlib.util
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -123,10 +121,6 @@ _UPPER = np.tri(STRIP, dtype=bool).T
 # final coefficients of n <= 150 fits by up to 7e-8, 1e8 by under 1e-9.
 FREEZE_RATIO = 1e8
 
-# The address of each gram that a fit is solving in, with its diagonal as
-# that fit found it (``hold_gram``).
-_IN_USE, _IN_USE_LOCK = {}, threading.Lock()
-
 
 def check_rank(pivot_sq, gram_diag, index):
     """The one rank rule of every Cholesky factor: a squared pivot within 1e-10 of
@@ -183,43 +177,6 @@ def mirror_upper(rows):
         _copy_strip(rows[s:, s:s + STRIP].T, rows[s:s + STRIP, s:])
 
 
-def hold_gram(gram_system: GramSystem):
-    """The gram system with the same X'X in which this thread's fit may
-    solve, and the key that ``release_gram`` takes when the fit ends: the
-    system itself, which the fit then holds, or, while another fit holds
-    its gram, one with a private copy, which nothing needs to release.
-
-    A kernel call above ``BLOCK`` writes over the upper triangle and the
-    diagonal of the gram's C-order view (``_solve_in_gram``), and a fit
-    reads the gram between its calls, so no two fits may share one buffer.
-    No call writes the strict lower triangle, so the copy is that triangle
-    mirrored, with the diagonal that the holding fit saved. A gram that no
-    call writes, a diagonal (vector) one or one of at most ``BLOCK``
-    coordinates, is returned as it is, with the key None."""
-    gram = gram_system.gram
-    if gram.ndim == 1 or len(gram) <= BLOCK:
-        return gram_system, None
-    rows = gram.T if gram.flags.f_contiguous else gram
-    key = rows.ctypes.data
-    with _IN_USE_LOCK:
-        saved = _IN_USE.get(key)
-        if saved is None:
-            _IN_USE[key] = np.diagonal(rows).copy()
-            return gram_system, key
-    gram = np.array(gram)  # in the same order, so that matvec reads it alike
-    rows = gram.T if gram.flags.f_contiguous else gram
-    mirror_upper(rows[::-1, ::-1])
-    np.fill_diagonal(rows, saved)
-    return dataclasses.replace(gram_system, gram=gram), None
-
-
-def release_gram(key):
-    """End the hold that ``hold_gram`` gave ``key``."""
-    if key is not None:
-        with _IN_USE_LOCK:
-            del _IN_USE[key]
-
-
 def matvec(mat, vec):
     """mat @ vec by scipy's ``dgemv``. The kernel's factorizations also run
     in scipy's BLAS, so a solver step stays in one BLAS thread pool (numpy
@@ -253,10 +210,9 @@ def spd_solve_with_inverse_diagonal(gram, penalty_diag, rhs):
     came, also when the call raises; a read-only or non-contiguous one is
     copied first. While a call runs, the gram's upper triangle (of its
     C-order view) holds the block, so no other thread may use the gram
-    meanwhile; ``fit_gram`` sees to that for fits that share a
-    ``GramSystem`` (``hold_gram``). A failed pivot is reported at its
-    coordinate in the whole system; a NaN penalty or a non-finite output
-    raises.
+    meanwhile; ``fit_gram`` solves in its own copy of the caller's gram for
+    that reason. A failed pivot is reported at its coordinate in the whole
+    system; a NaN penalty or a non-finite output raises.
     """
     gram = np.asarray(gram, dtype=float)
     penalty_diag = np.asarray(penalty_diag, dtype=float)

@@ -11,8 +11,7 @@ import dataclasses
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import (build_gram, hold_gram, matvec, release_gram,
-                     spd_solve_with_inverse_diagonal)
+from .linalg import build_gram, matvec, spd_solve_with_inverse_diagonal
 from .types import (
     ESTIMATED,
     GagaConfig,
@@ -127,24 +126,28 @@ def fit_gram(gram_system: GramSystem, n_obs: int, config: GagaConfig) -> SignalE
 
     Iteration 1 starts from zero penalties, so it solves with X'X itself and
     its inverse diagonal is the (X'X)^-1_jj that the truncation needs: no
-    solve is repeated. Fits on one ``GramSystem`` may run in several
-    threads: the first solves in its gram, and each other in a copy
-    (``linalg.hold_gram``)."""
-    gram_system, held = hold_gram(gram_system)
-    try:
-        state = initial_state(gram_system.p)
-        trace = [] if config.record_trace else None
-        for _ in range(config.iterations):
-            state = gaga_step(state, gram_system, config, n_obs)
-            if state.iteration == 1:
-                unpenalized_inv_diag = state.inv_diag
-            if trace is not None:
-                trace.append(state)
-        b_star = state.tuning / config.alpha
-        beta_star, inv_diag_star = spd_solve_with_inverse_diagonal(
-            gram_system.gram, b_star, gram_system.cross)
-    finally:
-        release_gram(held)
+    solve is repeated. A kernel call writes over the gram for its length,
+    so a p×p gram is copied, in its own memory order, and the fit solves in
+    the copy: the caller's gram is never written, and fits on one
+    ``GramSystem`` may run in several threads."""
+    if gram_system.gram.ndim == 2:
+        gram_system = dataclasses.replace(gram_system, gram=np.array(gram_system.gram))
+    return _fit(gram_system, n_obs, config)
+
+
+def _fit(gram_system: GramSystem, n_obs: int, config: GagaConfig) -> SignalEstimate:
+    """``fit_gram`` in the gram of ``gram_system`` itself."""
+    state = initial_state(gram_system.p)
+    trace = [] if config.record_trace else None
+    for _ in range(config.iterations):
+        state = gaga_step(state, gram_system, config, n_obs)
+        if state.iteration == 1:
+            unpenalized_inv_diag = state.inv_diag
+        if trace is not None:
+            trace.append(state)
+    b_star = state.tuning / config.alpha
+    beta_star, inv_diag_star = spd_solve_with_inverse_diagonal(
+        gram_system.gram, b_star, gram_system.cross)
     final_var = state.variance if config.variance_mode == ESTIMATED else 1.0
     estimate = hard_truncate(
         beta_star, b_star, final_var, unpenalized_inv_diag, inv_diag_star)
@@ -154,5 +157,6 @@ def fit_gram(gram_system: GramSystem, n_obs: int, config: GagaConfig) -> SignalE
 
 
 def gaga_fit(problem: RegressionProblem, config: GagaConfig = GagaConfig()) -> SignalEstimate:
-    """Fit the full pipeline on a regression problem."""
-    return fit_gram(build_gram(problem), problem.n, config)
+    """Fit the full pipeline on a regression problem, in the gram that
+    ``build_gram`` returns, which no one else holds."""
+    return _fit(build_gram(problem), problem.n, config)

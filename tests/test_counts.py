@@ -182,10 +182,10 @@ def test_correlation_check_makes_no_p_by_p_temporary():
 def test_qr_fit_peak_memory():
     # About 1.031 p x p at 1000 x 500: the gram, which the fit factorizes,
     # permutes and factorizes again in its own buffer, and vectors. The gram
-    # in ``build_gram`` and R in ``solve_triangular`` are checked for a
-    # non-finite entry through min and max; a p x p boolean temporary there
-    # read 1.141. A copy of the gram for the least-squares solve and a
-    # permuted copy for R read 2.139.
+    # in ``build_gram`` is checked for a non-finite entry through min and
+    # max, and R is not checked; a p x p boolean temporary for each read
+    # 1.141. A copy of the gram for the least-squares solve and a permuted
+    # copy for R read 2.139.
     problem = _problem(n=1000, p=500)
     assert _peak_per_gram(problem, gaga.qr.gaga_qr_fit) <= 1.05
 

@@ -225,6 +225,14 @@ class TestNonFiniteInput:
         assert all(math.isfinite(b) for b in traj)
         assert traj[-1] == pytest.approx(closed_form_fixed_point(r), rel=1e-12)
 
+    def test_large_regime_diverges(self):
+        # z = 0 is below the threshold (5.8e305), so the iterates grow until
+        # they overflow. 1e3 thresholds is above the largest double, so the
+        # escape test divides b by 1e3 rather than multiply the threshold.
+        label, traj = classify_trajectory(ScalarRegime.from_params(0.0, 1e305, 2.0), 100)
+        assert label == DIVERGENT
+        assert len(traj) < 101
+
     def test_small_coefficient_keeps_a_finite_limit(self):
         assert asymptotic_tuning_limit(1e-150, 2.0) == pytest.approx(2e300, rel=1e-15)
 

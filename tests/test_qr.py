@@ -251,7 +251,7 @@ class TestCholeskyQr:
 
 class TestBackMap:
     """The back-substitution is scipy's ``solve_triangular`` for the fit's
-    Fortran-order upper R, bit for bit, with its errors."""
+    Fortran-order upper R, bit for bit."""
 
     @staticmethod
     def system(p=257):
@@ -264,23 +264,6 @@ class TestBackMap:
         r, b = self.system()
         assert np.array_equal(solve_triangular(r, b),
                               scipy.linalg.solve_triangular(r, b, lower=False))
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", ["r", "b"])
-    def test_non_finite_entry_rejected(self, value, where):
-        r, b = self.system()
-        if where == "r":
-            r[3, 200] = value
-        else:
-            b[200] = value
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_triangular(r, b)
-
-    def test_zero_pivot_is_singular(self):
-        r, b = self.system()
-        r[100, 100] = 0.0
-        with pytest.raises(np.linalg.LinAlgError, match="diagonal 100"):
-            solve_triangular(r, b)
 
 
 class TestInPlaceCholeskyQr:

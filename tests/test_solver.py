@@ -20,7 +20,6 @@ from gaga import (
     gaga_qr_fit,
     spd_solve_with_inverse_diagonal,
 )
-import gaga.linalg
 from gaga import solver
 from gaga.datagen import gen_highdim
 from gaga.linalg import FREEZE_RATIO
@@ -286,10 +285,10 @@ class TestGagaFit:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_threads_sharing_one_gram_system(self, order):
         # Above BLOCK a kernel call writes over one triangle and the diagonal
-        # of the gram, and a fit reads the gram between its calls. So a fit
-        # that finds its gram held by another thread's fit solves in a copy,
-        # and each thread's fit is bit for bit its serial one. Three threads
-        # that switch often make the fits overlap on any number of cores.
+        # of the gram, and a fit reads the gram between its calls. So each
+        # fit solves in its own copy of the gram, and each thread's fit is
+        # bit for bit its serial one. Three threads that switch often make
+        # the fits overlap on any number of cores.
         problem = gen_highdim(0, 400, 300).problem
         built = build_gram(problem)
         gram = built.gram.copy()
@@ -312,7 +311,32 @@ class TestGagaFit:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(gs.gram, gram)
-        assert not gaga.linalg._IN_USE
+
+    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+    def test_fit_gram_solves_in_its_own_copy(self, layout, monkeypatch):
+        # Above BLOCK a kernel call writes over the gram it is given, so no
+        # call of fit_gram may be given memory of the caller's gram. The
+        # caller's gram leaves bit for bit as it came, and the fit is
+        # gaga_fit's. The fit is in the fixed mode: in the estimated one, the
+        # EM step sums X'Xb over an F-order gram in another order.
+        problem = gen_highdim(0, 400, 300).problem
+        built = build_gram(problem)
+        gram = np.array(built.gram, order="F" if layout == "F" else "C")
+        gram.flags.writeable = layout != "read-only"
+        gs = GramSystem(gram=gram, cross=built.cross, response_sq_norm=built.response_sq_norm)
+        want = gaga_fit(problem)
+        kernel, shared = solver.spd_solve_with_inverse_diagonal, []
+
+        def spy(system_gram, *args):
+            shared.append(np.shares_memory(system_gram, gram))
+            return kernel(system_gram, *args)
+
+        monkeypatch.setattr(solver, "spd_solve_with_inverse_diagonal", spy)
+        got = fit_gram(gs, problem.n, GagaConfig())
+        assert len(shared) == GagaConfig().iterations + 1 and not any(shared)
+        assert gs.gram is gram and np.array_equal(gram, built.gram)
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert np.array_equal(got.tuning, want.tuning)
 
     def test_monotone_tuning_growth_below_threshold(self):
         # zero signal, z below threshold: tuning strictly increases until clamp
